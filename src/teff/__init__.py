@@ -52,9 +52,6 @@ from .potentials import (
     ScreenedCoulomb,
     Tabulated,
     analyze_slice,
-    effective_W,
-    eval_potential,
-    kappa,
     parse_potential,
     tf_initial_slope,
     tf_screening,
@@ -84,7 +81,6 @@ from .transforms import (
     chi_power_law_closed,
     chi_profile,
     phi_additive,
-    phi_approximations,
     phi_multiplicative,
     screened_deep_energy,
 )

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -26,14 +24,6 @@ from .potentials import parse_potential
 from .spectrum import enumerate_bound_states, quantize_energy
 from .transforms import chi_profile
 from .verify import SUITES, run_suite
-
-
-def thread_count():
-    """Parallelism cap from TEFF_THREADS (default 1: fully deterministic path)."""
-    try:
-        return max(1, int(os.environ.get("TEFF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(rows, columns, fmt, output, command):
@@ -242,22 +232,10 @@ def cmd_diagram(specs, phi_min, phi_max, nr_max, l_max, e_grids, dim, fmt, outpu
             except ValueError as exc:
                 raise click.UsageError(f"bad --e-grid {e_grids[i]!r}; use lo:hi:n") from exc
         else:
-            grid = _default_energy_grid(p)
+            grid = p.default_energy_grid()
         curve_specs.append((p, grid))
 
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda cs: diagram_data(levels, (phi_min, phi_max), [cs], d=dim),
-                curve_specs))
-        dd = parts[0]
-        for extra in parts[1:]:
-            dd = type(dd)(d=dd.d, lines=dd.lines,
-                          curves=dd.curves + extra.curves,
-                          crossings=dd.crossings + extra.crossings)
-    else:
-        dd = diagram_data(levels, (phi_min, phi_max), curve_specs, d=dim)
+    dd = diagram_data(levels, (phi_min, phi_max), curve_specs, d=dim)
     if fmt == "csv":
         text = diagram_to_csv(dd)
     else:
@@ -267,22 +245,6 @@ def cmd_diagram(specs, phi_min, phi_max, nr_max, l_max, e_grids, dim, fmt, outpu
             fh.write(text)
     else:
         click.echo(text, nl=False)
-
-
-def _default_energy_grid(p):
-    """A deep-to-shallow grid suited to the family."""
-    from .potentials import Quarkonium, ScreenedCoulomb
-
-    if isinstance(p, ScreenedCoulomb):
-        grid = [-p.Z**2 * 0.5 * 2.0 ** (-k) for k in range(18)]
-        grid.append(0.0)
-        return grid
-    if isinstance(p, Quarkonium):
-        scale = p.B
-        return [-6.0 * scale * 2.0 ** (-k) for k in range(12)] + \
-               [scale * k / 3.0 for k in range(1, 13)]
-    e0 = p.reference_energy()
-    return [e0 * 2.0 ** (k - 6) for k in range(13)]
 
 
 @cli.command("verify")
@@ -317,7 +279,8 @@ def main(argv=None):
         return 2
     except click.exceptions.Abort:
         return 2
-    except PotentialError as exc:
+    except (PotentialError, ValueError) as exc:
+        # library functions raise ValueError for out-of-range arguments
         click.echo(f"configuration error: {exc}", err=True)
         return 2
     except TeffError as exc:

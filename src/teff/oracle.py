@@ -61,17 +61,13 @@ class ShootingConfig:
 
     ``step`` is the rho spacing; halving it must move eigenvalues by less
     than 1e-7 relative, which the fourth-order recurrence comfortably
-    provides at the default.  ``rho_lo``/``rho_hi``/``match_rho`` override
-    the automatic grid extent and matching point when set.
+    provides at the default.
     """
 
     step: float = 1.0 / 512.0
     tol_rel: float = 1e-10
     decay_margin: float = 35.0
     max_iter: int = 200
-    rho_lo: float | None = None
-    rho_hi: float | None = None
-    match_rho: float | None = None
 
 
 DEFAULT_SHOOTING = ShootingConfig()
@@ -138,26 +134,21 @@ class _Workspace:
         w_scale = max(s.A**2, lam**2)
 
         # left edge: enough e^(lambda rho) suppression, and W negligible
-        if cfg.rho_lo is not None:
-            rho_lo = cfg.rho_lo
+        if lam > 0:
+            rho_lo = rho_m - max(cfg.decay_margin / lam, 12.0)
         else:
-            if lam > 0:
-                rho_lo = rho_m - max(cfg.decay_margin / lam, 12.0)
-            else:
-                rho_lo = rho_m - 40.0
-            for _ in range(200):
-                w_here = max(abs(float(p.W(e_lo, rho_lo))), abs(float(p.W(e_hi, rho_lo))))
-                if w_here < 1e-12 * w_scale:
-                    break
-                rho_lo -= 5.0
+            rho_lo = rho_m - 40.0
+        for _ in range(200):
+            w_here = max(abs(float(p.W(e_lo, rho_lo))), abs(float(p.W(e_hi, rho_lo))))
+            if w_here < 1e-12 * w_scale:
+                break
+            rho_lo -= 5.0
 
         # right edge: hard wall, or enough WKB suppression past the turning point;
         # at the continuum threshold with lambda = 0 there is no barrier and the
         # march stops once W can no longer bend the solution
         if wall:
             rho_hi = math.log(p.R)
-        elif cfg.rho_hi is not None:
-            rho_hi = cfg.rho_hi
         else:
             w = lambda x: float(p.W(e_hi, x))
             rho_hi = rho_m
@@ -179,6 +170,10 @@ class _Workspace:
         self.rho = np.linspace(rho_lo, rho_hi, n)
         self.h = float(self.rho[1] - self.rho[0])
         r = np.exp(self.rho)
+        if wall:
+            # exp(log R) may round above R, which would put the last node
+            # behind the wall (V = inf) and poison the backward sweep
+            np.minimum(r, p.R, out=r)
         self.two_r2 = 2.0 * r * r
         with np.errstate(over="ignore"):
             v = np.asarray(p.V(r), dtype=float)
@@ -196,11 +191,7 @@ class _Workspace:
         """
         q = self.lam2 - (E * self.two_r2 + self.w0)
         c = 1.0 - (self.h * self.h / 12.0) * q
-        if self.cfg.match_rho is not None:
-            m = int(np.searchsorted(self.rho, self.cfg.match_rho))
-        else:
-            m = int(np.argmin(q))
-        m = min(max(m, 2), len(q) - 3)
+        m = min(max(int(np.argmin(q)), 2), len(q) - 3)
         if self.wall:
             end = len(q) - 1
         else:

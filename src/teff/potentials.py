@@ -38,9 +38,6 @@ __all__ = [
     "Tabulated",
     "EnergySlice",
     "parse_potential",
-    "eval_potential",
-    "kappa",
-    "effective_W",
     "analyze_slice",
     "tf_screening",
     "tf_initial_slope",
@@ -56,6 +53,7 @@ class Screening:
     """Interface for screening profiles: g(0) = 1, g > 0, dg/dr < 0."""
 
     kind = "abstract"
+    interpolated = False
 
     def g(self, r):
         raise NotImplementedError
@@ -126,6 +124,7 @@ class TabulatedScreening(Screening):
     """Screening profile interpolated from a table of (r, g) samples."""
 
     kind = "table"
+    interpolated = True
 
     def __init__(self, r, g):
         r = np.asarray(r, dtype=float)
@@ -388,6 +387,12 @@ class Potential:
     """Base class; concrete families implement V, dV, d2V (vectorised)."""
 
     family = "abstract"
+    # True when V has no length scale that the energy could probe, so E
+    # only rescales W and the slope phi (like kappa) does not depend on E
+    scale_free = False
+    # True when V comes from interpolated data, whose second derivatives
+    # are finite differences
+    interpolated = False
 
     def V(self, r):
         raise NotImplementedError
@@ -418,6 +423,24 @@ class Potential:
         """A representative energy at which the well certainly has states."""
         raise NotImplementedError
 
+    def energy_window(self):
+        """(floor, ceiling) of the bound-state energies; None where open.
+
+        The default suits wells that are Coulomb-like at the origin and
+        confining at infinity, whose spectrum spans the whole energy axis.
+        """
+        return None, None
+
+    def energy_scale(self):
+        """Natural energy unit of the well; a bracket search below a
+        threshold ceiling starts one unit deep."""
+        return 1.0
+
+    def default_energy_grid(self):
+        """A deep-to-shallow energy grid for diagram curves."""
+        e0 = self.reference_energy()
+        return [e0 * 2.0 ** (k - 6) for k in range(13)]
+
     def domain(self):
         """(r_min, r_max) where the potential is defined; (0, inf) unless
         interpolated from a finite table."""
@@ -437,6 +460,7 @@ class PowerLaw(Potential):
     b: float
     mu: float
     family = "power"
+    scale_free = True
 
     def __post_init__(self):
         if not self.mu > -2.0:
@@ -463,6 +487,12 @@ class PowerLaw(Potential):
     def reference_energy(self):
         # r_t = e^mu for mu -> 0 keeps the turning point at sane radii
         return self.b * math.exp(self.mu) if self.mu > 0 else 0.5 * self.b
+
+    def energy_window(self):
+        return (0.0, None) if self.mu > 0 else (None, 0.0)
+
+    def energy_scale(self):
+        return abs(self.b) ** (2.0 / (2.0 + self.mu))
 
     def spec_string(self):
         return f"power:b={self.b:g},mu={self.mu:g}"
@@ -506,6 +536,16 @@ class ScreenedCoulomb(Potential):
 
     def reference_energy(self):
         return 0.0
+
+    def energy_window(self):
+        return -10.0 * self.Z**2, 0.0
+
+    def default_energy_grid(self):
+        return [-self.Z**2 * 0.5 * 2.0 ** (-k) for k in range(18)] + [0.0]
+
+    @property
+    def interpolated(self):
+        return self.screening.interpolated
 
     def domain(self):
         if isinstance(self.screening, TabulatedScreening):
@@ -559,6 +599,10 @@ class Quarkonium(Potential):
     def reference_energy(self):
         return 0.0
 
+    def default_energy_grid(self):
+        return [-6.0 * self.B * 2.0 ** (-k) for k in range(12)] + \
+               [self.B * k / 3.0 for k in range(1, 13)]
+
     def spec_string(self):
         return f"quark:alpha={self.alpha:g},delta={self.delta:g},B={self.B:g}"
 
@@ -569,6 +613,7 @@ class HardWall(Potential):
 
     R: float
     family = "wall"
+    scale_free = True
 
     def __post_init__(self):
         if not self.R > 0:
@@ -596,6 +641,9 @@ class HardWall(Potential):
     def reference_energy(self):
         return 1.0 / self.R**2
 
+    def energy_window(self):
+        return 0.0, None
+
     def spec_string(self):
         return f"wall:R={self.R:g}"
 
@@ -609,6 +657,7 @@ class Tabulated(Potential):
     """
 
     family = "table"
+    interpolated = True
 
     def __init__(self, r, v, source="<memory>"):
         r = np.asarray(r, dtype=float)
@@ -733,29 +782,6 @@ def parse_potential(spec):
     if family == "wall":
         return HardWall(R=fval("R"))
     return load_table(kv["path"])
-
-
-# --------------------------------------------------------------------------
-# level operations
-# --------------------------------------------------------------------------
-
-
-def eval_potential(p, r):
-    """(V(r), V'(r)) with domain checks."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise PotentialError("radius must be > 0")
-    return p.V(r), p.dV(r)
-
-
-def kappa(p, r):
-    """Convexity index 1 + r V''/V' of a potential at radius r."""
-    return p.kappa(r)
-
-
-def effective_W(p, E, rho):
-    """W(E, rho) = 2 r^2 (E - V(r)) with r = e^rho; negative in forbidden regions."""
-    return p.W(E, rho)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
 
 from .errors import Divergent, NoClassicalRegion
-from .potentials import HardWall, analyze_slice
+from .potentials import analyze_slice
 
 __all__ = [
     "QuadratureConfig",
@@ -48,7 +48,6 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-9
     tail_cut: float = 1e-12
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -60,11 +59,12 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 _MARCH_LIMIT = 600.0  # furthest distance (in rho) we chase a decaying tail
+_MAX_SUBDIVISIONS = 200
 
 
 def _quad(f, a, b, cfg):
     val, _ = quad(f, a, b, epsabs=0.0, epsrel=0.1 * cfg.rel_tol,
-                  limit=cfg.max_subdivisions)
+                  limit=_MAX_SUBDIVISIONS)
     return val
 
 
@@ -191,8 +191,8 @@ def _reduced_moment_parts(p, E, d, cfg, s, tail_cut):
     total = _quad(g, rho_a, rho_m, cfg)
     total += _fitted_tail(w, rho_a, w(rho_a), a2, d, side="left")
 
-    if isinstance(p, HardWall):
-        total += _quad(g, rho_m, math.log(p.R), cfg)
+    if s.boundary_max:
+        total += _quad(g, rho_m, math.log(s.r_t), cfg)
         return total, clamped
 
     kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
@@ -228,8 +228,8 @@ def _turning_points(p, E, lam2, s, w):
     r_lo, r_hi = p.domain()
     rho1, _ = _root_left(w, rho_m, lam2,
                          rho_floor=math.log(r_lo) if r_lo > 0.0 else None)
-    if isinstance(p, HardWall):
-        return rho1, math.log(p.R)
+    if s.boundary_max:
+        return rho1, math.log(s.r_t)
     step = 0.5
     lo = rho_m
     ceil = math.log(r_hi) if math.isfinite(r_hi) else None

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoBoundState, NoConvergence
 from .ordering import QuantumLevel, teff_nonlinear
-from .potentials import HardWall, PowerLaw, ScreenedCoulomb, analyze_slice
+from .potentials import PowerLaw, analyze_slice
 from .quadrature import DEFAULT_CONFIG, action_I
 from .transforms import chi_d, chi_infinity, phi_additive
 
@@ -61,99 +61,46 @@ class _CountingN1:
         return action_I(self.p, E, 0.0, self.cfg, _slice=s)
 
 
-def _energy_domain(p):
-    """(floor, ceiling) of the search window; either may be None (open).
-
-    Quarkonium-type wells are Coulomb-like at the origin and confining at
-    infinity, so their spectrum spans the whole energy axis.
-    """
-    if isinstance(p, ScreenedCoulomb):
-        return -10.0 * p.Z**2, 0.0
-    if isinstance(p, PowerLaw):
-        if p.mu > 0:
-            return 0.0, None
-        return None, 0.0
-    if isinstance(p, HardWall):
-        return 0.0, None
-    return None, None
+def _expand(f, x, factor, sign, what, origin=0.0, tries=200):
+    """Scale the distance of x from ``origin`` by ``factor`` until
+    sign * f(x) > 0; the geometric bracket search of every family."""
+    for _ in range(tries):
+        if sign * f(x) > 0:
+            return x
+        x = origin + (x - origin) * factor
+    raise NoConvergence(f"cannot bracket {what}")
 
 
 def _solve_inner(n1, T, p):
     """Bracketed solve of N_1(E) = T on the family's energy window."""
-    floor, ceiling = _energy_domain(p)
+    floor, ceiling = p.energy_window()
     f = lambda E: n1(E) - T
 
-    if ceiling is not None:
+    if floor is not None and ceiling is not None:
         # wells that end at the continuum threshold: capacity check at the top
-        f_top = f(ceiling) if isinstance(p, ScreenedCoulomb) else None
-        if f_top is not None and f_top < 0:
+        f_top = f(ceiling)
+        if f_top < 0:
             raise NoBoundState(
                 f"T = {T:g} exceeds the well capacity N1(0) = {f_top + T:g}")
-        if isinstance(p, ScreenedCoulomb):
-            lo = floor
-            for _ in range(60):
-                if f(lo) < 0:
-                    break
-                lo *= 8.0
-            else:
-                raise NoConvergence("cannot bracket below the deepest level")
-            return brentq(f, lo, ceiling, rtol=1e-13, maxiter=200), None
-        # power law with mu < 0: E in (-inf, 0)
-        hi = -1e-12
-        scale = abs(p.b) ** (2.0 / (2.0 + p.mu))
-        hi = -1e-9 * scale
-        for _ in range(200):
-            if f(hi) > 0:
-                break
-            hi *= 0.25
-            if abs(hi) < 1e-280:
-                raise NoConvergence("cannot bracket the shallow side")
-        lo = min(-scale, 4.0 * hi)
-        for _ in range(200):
-            if f(lo) < 0:
-                break
-            lo *= 4.0
-        else:
-            raise NoConvergence("cannot bracket the deep side")
-        return brentq(f, lo, hi, rtol=1e-13, maxiter=200), None
-
-    if floor is None:
+        lo = _expand(f, floor, 8.0, -1, "below the deepest level", tries=60)
+        hi = ceiling
+    elif ceiling is not None:
+        # E in (-inf, ceiling): close in on the threshold, then go deep
+        scale = p.energy_scale()
+        hi = _expand(f, ceiling - 1e-9 * scale, 0.25, 1, "the shallow side", origin=ceiling)
+        lo = _expand(f, ceiling + min(-scale, 4.0 * (hi - ceiling)), 4.0, -1, "the deep side",
+                     origin=ceiling)
+    elif floor is None:
         # wells spanning the whole axis (Coulomb core + confining tail)
-        hi = 1.0
-        for _ in range(200):
-            if f(hi) > 0:
-                break
-            hi *= 2.0
-        else:
-            raise NoConvergence("cannot bracket on the confining side")
-        lo = -1.0
-        for _ in range(200):
-            if f(lo) < 0:
-                break
-            lo *= 4.0
-        else:
-            raise NoConvergence("cannot bracket on the deep side")
-        return brentq(f, lo, hi, rtol=1e-13, maxiter=200), None
-
-    # confining wells bounded below: E in (floor, inf)
-    bottom = floor
-    span = max(abs(bottom), 1.0)
-    hi = bottom + span
-    for _ in range(200):
-        if f(hi) > 0:
-            break
-        span *= 2.0
-        hi = bottom + span
+        hi = _expand(f, 1.0, 2.0, 1, "on the confining side")
+        lo = _expand(f, -1.0, 4.0, -1, "on the deep side")
     else:
-        raise NoConvergence("cannot bracket above the well bottom")
-    lo = bottom + (hi - bottom) * 0.5
-    for _ in range(200):
-        if f(lo) < 0:
-            break
-        lo = bottom + (lo - bottom) * 0.25
-    else:
-        raise NoConvergence("cannot bracket near the well bottom")
-    return brentq(f, lo, hi, rtol=1e-13, maxiter=200), None
+        # confining wells bounded below: E in (floor, inf)
+        hi = _expand(f, floor + max(abs(floor), 1.0), 2.0, 1, "above the well bottom",
+                     origin=floor)
+        lo = _expand(f, floor + (hi - floor) * 0.5, 0.25, -1, "near the well bottom",
+                     origin=floor)
+    return brentq(f, lo, hi, rtol=1e-13, maxiter=200)
 
 
 _DAMPING = 0.5
@@ -172,7 +119,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         raise ValueError(f"unknown mode {mode!r}")
     n1 = _CountingN1(p, cfg)
     nu, lam = level.nu, level.lam
-    phi_independent = isinstance(p, (PowerLaw, HardWall)) or lam == 0.0
+    phi_independent = p.scale_free or lam == 0.0
 
     phi = phi_additive(p, p.reference_energy(), level.d, cfg)
     iterations = 0
@@ -181,7 +128,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         # power laws and the hard wall have an E-independent slope, and
         # lam = 0 decouples T from the slope entirely
         iterations = 1
-        E, _ = _solve_inner(n1, nu + phi * lam, p)
+        E = _solve_inner(n1, nu + phi * lam, p)
         if lam == 0.0:
             phi = phi_additive(p, E, level.d, cfg)
     else:
@@ -190,7 +137,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         # a secant step on the residual takes over once two iterates exist
         phi_prev = r_prev = None
         for iterations in range(1, _OUTER_MAX + 1):
-            E, _ = _solve_inner(n1, nu + phi * lam, p)
+            E = _solve_inner(n1, nu + phi * lam, p)
             r = phi_additive(p, E, level.d, cfg) - phi
             if abs(r) <= _OUTER_TOL * max(1.0, abs(phi)):
                 break
@@ -204,7 +151,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         else:
             raise NoConvergence(
                 f"phi fixed point did not settle for level {level}; last phi = {phi:g}")
-        E, _ = _solve_inner(n1, nu + phi * lam, p)
+        E = _solve_inner(n1, nu + phi * lam, p)
 
     if mode == "linear":
         T = nu + phi * lam
@@ -224,7 +171,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
             T = t_here
         else:
             T = T + _DAMPING * (t_here - T)
-        E_new, _ = _solve_inner(n1, T, p)
+        E_new = _solve_inner(n1, T, p)
         if abs(t_here - T) <= _OUTER_TOL * max(1.0, abs(T)) and \
                 abs(E_new - E) <= 1e-10 * max(1.0, abs(E)):
             E = E_new

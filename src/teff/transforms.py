@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from scipy.special import betaln
 
 from .errors import NumericsError
-from .potentials import PowerLaw, ScreenedCoulomb, Tabulated, analyze_slice
+from .potentials import ScreenedCoulomb, analyze_slice
 from .quadrature import DEFAULT_CONFIG, reduced_moment
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "chi_infinity_forms",
     "phi_additive",
     "phi_multiplicative",
-    "phi_approximations",
-    "PhiApproximations",
     "chi_power_law_closed",
     "b_coefficients",
     "adiabatic_correction",
@@ -48,23 +46,13 @@ def chi_d(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
 
     Accepts non-integer d >= 1.  For integer d >= 2 the equivalent
     state-count form d! N_d / (2 A^d) reduces to the same expression
-    through a beta-function identity; the identity is verified here so a
-    drift in either constant cannot pass silently.
+    through a beta-function identity.
     """
     if d < 1:
         raise ValueError("chi_d requires d >= 1")
     s = _slice if _slice is not None else analyze_slice(p, E)
     m_hat = reduced_moment(p, E, d, cfg, _slice=s)
-    value = m_hat / _beta(0.5 * d, 0.5)
-    if float(d).is_integer() and d >= 2:
-        # the state-count route d! N_d / (2 A^d) must collapse onto the
-        # moment route; verified in log space so large d cannot overflow
-        di = int(d)
-        log_count = (math.lgamma(di + 1) - math.log(2.0) + betaln(1.5, 0.5 * (di - 1.0))
-                     - math.log(math.pi) - math.lgamma(di - 1.0))
-        if abs(log_count + betaln(0.5 * di, 0.5)) > 1e-9:
-            raise NumericsError("state-count and moment forms of chi_d disagree")
-    return value
+    return m_hat / _beta(0.5 * d, 0.5)
 
 
 def _second_derivative_at_max(p, E, rho_m, h=1e-3):
@@ -111,14 +99,22 @@ def chi_infinity(p, E, cfg=DEFAULT_CONFIG, _slice=None):
     curvature, convexity = chi_infinity_forms(p, E, cfg, _slice=s)
     if s.boundary_max:
         return curvature
-    interpolated = (isinstance(p, Tabulated)
-                    or getattr(getattr(p, "screening", None), "kind", "") == "table")
-    tol = 1e-3 if interpolated else 1e-6
+    tol = 1e-3 if p.interpolated else 1e-6
     if abs(curvature - convexity) > tol * abs(convexity):
         raise NumericsError(
             f"curvature ({curvature:.10g}) and convexity ({convexity:.10g}) forms "
             f"of chi_infinity disagree beyond {tol:g}")
     return curvature
+
+
+# the slope formulas on chi values, shared by the estimators and chi_profile
+
+def _additive(c1, cd, d):
+    return c1 + (c1 - cd) / (d - 1.0)
+
+
+def _multiplicative(c1, cd, d):
+    return (c1**d / cd) ** (1.0 / (d - 1.0))
 
 
 def phi_additive(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
@@ -128,7 +124,7 @@ def phi_additive(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
     s = _slice if _slice is not None else analyze_slice(p, E)
     c1 = chi_d(p, E, 1.0, cfg, _slice=s)
     cd = chi_d(p, E, d, cfg, _slice=s)
-    return c1 + (c1 - cd) / (d - 1.0)
+    return _additive(c1, cd, d)
 
 
 def phi_multiplicative(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
@@ -138,35 +134,7 @@ def phi_multiplicative(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
     s = _slice if _slice is not None else analyze_slice(p, E)
     c1 = chi_d(p, E, 1.0, cfg, _slice=s)
     cd = chi_d(p, E, d, cfg, _slice=s)
-    return (c1**d / cd) ** (1.0 / (d - 1.0))
-
-
-@dataclass(frozen=True)
-class PhiApproximations:
-    """Asymptotic slope estimates and their quality ratios against the
-    additive form: s = phi_as/phi, w = chi_Das/phi, R = phi_m/phi."""
-
-    phi_as: float
-    chi_Das: float
-    ratio_R: float
-    s: float
-    w: float
-
-
-def phi_approximations(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
-    """Large-d approximations of the slope and their diagnostics."""
-    if not d > 1:
-        raise ValueError("phi_approximations requires d > 1")
-    s_ = _slice if _slice is not None else analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, cfg, _slice=s_)
-    c_inf = chi_infinity(p, E, cfg, _slice=s_)
-    phi = phi_additive(p, E, d, cfg, _slice=s_)
-    phi_m = phi_multiplicative(p, E, d, cfg, _slice=s_)
-    phi_as = c1 + (c1 - c_inf) / d
-    big_d = d / (d + 1.0)
-    chi_das = c_inf + (c1 - c_inf) / big_d
-    return PhiApproximations(phi_as=phi_as, chi_Das=chi_das,
-                             ratio_R=phi_m / phi, s=phi_as / phi, w=chi_das / phi)
+    return _multiplicative(c1, cd, d)
 
 
 def chi_power_law_closed(mu, d):
@@ -228,7 +196,7 @@ def adiabatic_correction(p, E, cfg=DEFAULT_CONFIG, _slice=None):
         raise NumericsError("adiabatic correction undefined for a boundary maximum")
     r_m = s.r_m
     mu_m = s.kappa_at_rm
-    if isinstance(p, PowerLaw):
+    if p.scale_free:
         r_kprime = 0.0
     else:
         h = 1e-5
@@ -279,8 +247,8 @@ def chi_profile(p, E, ds=(2, 3), cfg=DEFAULT_CONFIG):
     chis, phis, phims, phias, chidas, ratios, ss, ws = {}, {}, {}, {}, {}, {}, {}, {}
     for d in ds:
         cd = chi_d(p, E, d, cfg, _slice=s)
-        phi = c1 + (c1 - cd) / (d - 1.0)
-        phi_m = (c1**d / cd) ** (1.0 / (d - 1.0))
+        phi = _additive(c1, cd, d)
+        phi_m = _multiplicative(c1, cd, d)
         phi_as = c1 + (c1 - c_inf) / d
         big_d = d / (d + 1.0)
         chi_das = c_inf + (c1 - c_inf) / big_d

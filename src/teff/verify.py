@@ -37,7 +37,7 @@ from .transforms import (
     screened_deep_energy,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_all"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -499,7 +499,3 @@ def run_suite(names):
             detail=f"  full battery completed in {total:.1f}s (budget 300s)",
             elapsed=total))
     return results
-
-
-def run_all():
-    return run_suite(SUITES["all"])

@@ -7,12 +7,12 @@ runtime budget of that single run.
 
 import pytest
 
-from teff.verify import run_all
+from teff.verify import SUITES, run_suite
 
 
 @pytest.fixture(scope="session")
 def battery():
-    results = run_all()
+    results = run_suite(SUITES["all"])
     for res in results:
         print()
         print(res.summary_line())

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import teff
 from teff.cli import cli, main
 
 MADELUNG = ["1s", "2s", "2p", "3s", "3p", "4s", "3d", "4p", "5s", "4d", "5p", "6s", "4f"]
@@ -121,6 +125,22 @@ class TestExitCodes:
 
     def test_verify_suite_exit(self):
         assert main(["verify", "--suite", "signs", "--no-detail"]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["order", "--phi", "-1", "--count", "3"],
+        ["order", "--phi", "1", "--count", "0"],
+        ["diagram", "--potential", "power:b=1,mu=2", "--phi-max", "3"],
+    ])
+    def test_bad_argument_is_2(self, args):
+        # run as the installed script would be, so a traceback would show
+        src = os.path.dirname(os.path.dirname(teff.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "teff.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerifyCommand:

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
-from scipy.special import ai_zeros
+from scipy.optimize import brentq
+from scipy.special import ai_zeros, jv
 
 from teff import (
     BracketMiss,
@@ -15,6 +17,15 @@ from teff import (
     parse_potential,
     solve_bound_state,
 )
+
+
+def _bessel_zero(nu, k):
+    """k-th positive zero of J_nu; zeros are about pi apart, so a 0.1 scan
+    separates them."""
+    x = np.arange(0.1, (k + nu + 2.0) * math.pi, 0.1)
+    f = jv(nu, x)
+    i = np.flatnonzero(f[:-1] * f[1:] < 0.0)[k - 1]
+    return brentq(lambda t: jv(nu, t), x[i], x[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
 class TestExactSpectra:
@@ -63,6 +74,15 @@ class TestEigensolver:
             exact = ((n_r + 1) * math.pi) ** 2 / 2.0
             assert solve_bound_state(wall, QuantumLevel(n_r, 0, 3)) == \
                 pytest.approx(exact, rel=1e-8)
+        # radii where exp(log R) rounds above R, so the outermost grid node
+        # must not fall behind the wall; in general E = j^2 / (2 R^2) with j
+        # the (n_r + 1)-th zero of J_lambda
+        for R in (2.91162, 3.0):
+            for d, l, n_r in ((3, 0, 0), (2, 0, 0), (3, 1, 2)):
+                lvl = QuantumLevel(n_r, l, d)
+                exact = _bessel_zero(lvl.lam, n_r + 1) ** 2 / (2.0 * R * R)
+                assert solve_bound_state(HardWall(R=R), lvl) == \
+                    pytest.approx(exact, rel=1e-8)
 
     def test_oscillator_2s(self, oscillator):
         assert solve_bound_state(oscillator, QuantumLevel(2, 0, 3)) == \
@@ -120,10 +140,3 @@ class TestConvergence:
         e1 = solve_bound_state(p, lvl, ShootingConfig(step=1.0 / 512.0))
         e2 = solve_bound_state(p, lvl, ShootingConfig(step=1.0 / 1024.0))
         assert abs(e2 / e1 - 1.0) < 1e-7
-
-
-class TestConfigOverrides:
-    def test_explicit_grid_and_match(self, coulomb):
-        cfg = ShootingConfig(rho_lo=-30.0, rho_hi=4.0, match_rho=0.0)
-        e = solve_bound_state(coulomb, QuantumLevel(0, 0, 3), cfg)
-        assert e == pytest.approx(-0.5, rel=1e-7)

@@ -13,9 +13,6 @@ from teff import (
     ScreenedCoulomb,
     Tabulated,
     analyze_slice,
-    effective_W,
-    eval_potential,
-    kappa,
     parse_potential,
     tf_initial_slope,
     tf_screening,
@@ -66,7 +63,7 @@ class TestParsing:
     def test_table_roundtrip(self, yukawa_table):
         p = parse_potential(f"table:path={yukawa_table}")
         assert isinstance(p, Tabulated)
-        v, dv = eval_potential(p, 1.0)
+        v, dv = p.V(1.0), p.dV(1.0)
         assert v == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-6)
         assert dv == pytest.approx(2.0 * math.exp(-1.0) * 2.0, rel=1e-4)
 
@@ -79,66 +76,63 @@ class TestParsing:
 
 class TestEvaluation:
     def test_power_law_values(self):
-        v, dv = eval_potential(PowerLaw(b=1, mu=2), 2.0)
-        assert v == 4.0 and dv == 4.0
+        p = PowerLaw(b=1, mu=2)
+        assert p.V(2.0) == 4.0 and p.dV(2.0) == 4.0
 
     def test_yukawa_derivative(self, yukawa):
         # direct differentiation of -Z e^(-r)/r at r = 1
-        v, dv = eval_potential(yukawa, 1.0)
+        v, dv = yukawa.V(1.0), yukawa.dV(1.0)
         assert v == pytest.approx(-math.exp(-1.0), rel=1e-14)
         assert dv == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
     def test_quark_cancellation(self):
-        v, dv = eval_potential(Quarkonium(alpha=0.5, delta=1.0, B=3.0), 1.0)
+        p = Quarkonium(alpha=0.5, delta=1.0, B=3.0)
+        v, dv = p.V(1.0), p.dV(1.0)
         assert v == pytest.approx(0.0, abs=1e-14)
         assert dv == pytest.approx(3.0, rel=1e-14)
-
-    def test_radius_must_be_positive(self, yukawa):
-        with pytest.raises(PotentialError, match="radius"):
-            eval_potential(yukawa, -1.0)
 
     def test_table_range_enforced(self, yukawa_table):
         p = load_table(yukawa_table)
         with pytest.raises(PotentialError, match="outside tabulated range"):
-            eval_potential(p, 100.0)
+            p.V(100.0)
 
 
 class TestKappa:
     def test_power_law_constant(self):
-        assert kappa(PowerLaw(b=1, mu=3), 0.37) == 3.0
-        assert kappa(PowerLaw(b=-1, mu=-1), 5.0) == -1.0
+        assert PowerLaw(b=1, mu=3).kappa(0.37) == 3.0
+        assert PowerLaw(b=-1, mu=-1).kappa(5.0) == -1.0
 
     @pytest.mark.parametrize("kind", ["exp", "inv2", "inv25", "tf"])
     def test_screened_below_minus_one(self, kind):
         p = parse_potential(f"screened:kind={kind},Z=1")
         r = np.geomspace(1e-3, 1e3, 120)
-        vals = np.asarray([float(kappa(p, ri)) for ri in r])
+        vals = np.asarray([float(p.kappa(ri)) for ri in r])
         assert np.all(vals < -1.0)
 
     def test_quark_limits_and_monotonicity(self):
         p = Quarkonium(alpha=0.3, delta=2.5, B=2.0)
         r = np.geomspace(1e-3, 1e3, 200)
-        vals = np.asarray([float(kappa(p, ri)) for ri in r])
+        vals = np.asarray([float(p.kappa(ri)) for ri in r])
         assert np.all(vals > -1.0) and np.all(vals < p.delta)
         assert np.all(np.diff(vals) > 0)
-        assert kappa(p, 1e-9) == pytest.approx(-1.0, abs=1e-6)
-        assert kappa(p, 1e9) == pytest.approx(p.delta, abs=1e-6)
+        assert p.kappa(1e-9) == pytest.approx(-1.0, abs=1e-6)
+        assert p.kappa(1e9) == pytest.approx(p.delta, abs=1e-6)
 
     def test_wall_kappa_undefined(self):
         with pytest.raises(PotentialError):
-            kappa(HardWall(R=1.0), 0.5)
+            HardWall(R=1.0).kappa(0.5)
 
 
 class TestEffectiveW:
     def test_values(self, coulomb):
-        assert effective_W(PowerLaw(b=1, mu=2), 3.0, 0.0) == pytest.approx(4.0)
-        assert effective_W(coulomb, -0.5, 0.0) == pytest.approx(1.0)
+        assert PowerLaw(b=1, mu=2).W(3.0, 0.0) == pytest.approx(4.0)
+        assert coulomb.W(-0.5, 0.0) == pytest.approx(1.0)
         p = parse_potential("screened:kind=inv2,Z=1")
-        assert effective_W(p, 0.0, 0.0) == pytest.approx(0.5)
+        assert p.W(0.0, 0.0) == pytest.approx(0.5)
 
     def test_vectorised(self, yukawa):
         rho = np.linspace(-2, 2, 11)
-        w = effective_W(yukawa, -0.1, rho)
+        w = yukawa.W(-0.1, rho)
         assert w.shape == rho.shape
 
 
@@ -171,8 +165,7 @@ class TestAnalyzeSlice:
         s = analyze_slice(yukawa, -0.05)
         rho_m = math.log(s.r_m)
         h = 1e-5
-        slope = (effective_W(yukawa, -0.05, rho_m + h)
-                 - effective_W(yukawa, -0.05, rho_m - h)) / (2 * h)
+        slope = (yukawa.W(-0.05, rho_m + h) - yukawa.W(-0.05, rho_m - h)) / (2 * h)
         assert abs(slope) < 1e-8 * s.A**2
 
     def test_no_classical_region(self):

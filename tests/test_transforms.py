@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
+from scipy.special import betaln
 from scipy.special import gamma as gamma_fn
 
 from teff import (
@@ -16,7 +17,6 @@ from teff import (
     chi_profile,
     parse_potential,
     phi_additive,
-    phi_approximations,
     phi_multiplicative,
 )
 from teff.transforms import screened_deep_energy
@@ -49,6 +49,14 @@ class TestChiD:
             vals = [chi_d(p, E, d) for d in ds]
             diffs = [b - a for a, b in zip(vals, vals[1:])]
             assert all(x > 0 for x in diffs) or all(x < 0 for x in diffs)
+
+    def test_state_count_identity(self):
+        # d! N_d / (2 A^d) equals M_d / (A^d B(d/2, 1/2)): the state-count
+        # and moment forms of chi_d agree through a beta-function identity
+        for d in range(2, 65):
+            log_count = (math.lgamma(d + 1) - math.log(2.0) + betaln(1.5, 0.5 * (d - 1.0))
+                         - math.log(math.pi) - math.lgamma(d - 1.0))
+            assert log_count == pytest.approx(-betaln(0.5 * d, 0.5), abs=1e-9)
 
     def test_closed_form_agreement(self):
         for mu in (-1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 6.0):
@@ -163,17 +171,16 @@ class TestPhiEstimators:
     def test_approximations_mu1(self):
         # phi_as = chi_1 + (chi_1 - chi_inf)/3 reproduces the printed-cell
         # arithmetic 0.551 + (0.551 - 0.577)/3 = 0.5423 to table precision
-        p = PowerLaw(b=1.0, mu=1.0)
-        approx = phi_approximations(p, 1.0, 3)
-        assert approx.phi_as == pytest.approx(0.5423, abs=5e-4)
-        assert approx.s == pytest.approx(0.998, abs=2e-3)
-        assert approx.w == pytest.approx(0.998, abs=2e-3)
-        assert 1.0 <= approx.ratio_R < 1.001
+        prof = chi_profile(PowerLaw(b=1.0, mu=1.0), 1.0, ds=(3,))
+        assert prof.phi_as[3] == pytest.approx(0.5423, abs=5e-4)
+        assert prof.s[3] == pytest.approx(0.998, abs=2e-3)
+        assert prof.w[3] == pytest.approx(0.998, abs=2e-3)
+        assert 1.0 <= prof.ratio_R[3] < 1.001
 
     def test_coulomb_all_unity(self, coulomb):
-        approx = phi_approximations(coulomb, -0.5, 3)
-        for val in (approx.phi_as, approx.chi_Das, approx.ratio_R, approx.s, approx.w):
-            assert val == pytest.approx(1.0, abs=1e-8)
+        prof = chi_profile(coulomb, -0.5, ds=(3,))
+        for field in (prof.phi_as, prof.chi_Das, prof.ratio_R, prof.s, prof.w):
+            assert field[3] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestBCoefficients:
