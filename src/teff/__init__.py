@@ -15,7 +15,6 @@ from .errors import (
     NoBoundState,
     NoClassicalRegion,
     NoConvergence,
-    NodeCountMismatch,
     NumericsError,
     PotentialError,
     TeffError,
@@ -37,7 +36,6 @@ from .ordering import (
     teff_nonlinear,
 )
 from .oracle import (
-    ShootingConfig,
     bracket_bound_state,
     exact_reference_spectrum,
     numerov_eigenvalue,

@@ -45,9 +45,5 @@ class BracketMiss(TeffError):
     """An eigenvalue bracket does not contain the requested level."""
 
 
-class NodeCountMismatch(TeffError):
-    """A converged eigenfunction has the wrong number of interior nodes."""
-
-
 class NumericsError(TeffError):
     """Internal numerical consistency check failed."""

@@ -1,22 +1,28 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ai_zeros, jv
 
 from teff import (
     BracketMiss,
     HardWall,
+    NoConvergence,
+    Potential,
     PowerLaw,
     QuantumLevel,
-    ShootingConfig,
+    TeffError,
     bracket_bound_state,
     exact_reference_spectrum,
     numerov_eigenvalue,
     parse_potential,
     solve_bound_state,
 )
+from teff.oracle import _grid, _grid_eigenvalue
 
 
 def _bessel_zero(nu, k):
@@ -50,14 +56,22 @@ class TestEigensolver:
         lvl = QuantumLevel(n_r, l, d)
         got = solve_bound_state(coulomb, lvl)
         assert got == pytest.approx(exact_reference_spectrum("coulomb", 1.0, lvl),
-                                    rel=1e-5)
+                                    rel=1e-9)
         got = solve_bound_state(oscillator, lvl)
         assert got == pytest.approx(exact_reference_spectrum("oscillator", 0.5, lvl),
-                                    rel=1e-5)
+                                    rel=1e-9)
 
     def test_hydrogen_2p(self, coulomb):
         assert solve_bound_state(coulomb, QuantumLevel(0, 1, 3)) == \
             pytest.approx(-0.125, abs=1e-6)
+
+    def test_hydrogen_2d_s_states(self, coulomb):
+        # lambda = 0: psi tends to a constant at the origin, so the grid
+        # must reach far enough in for W itself to vanish
+        for n_r in range(3):
+            lvl = QuantumLevel(n_r, 0, 2)
+            assert solve_bound_state(coulomb, lvl) == \
+                pytest.approx(-0.5 / (n_r + 0.5) ** 2, rel=1e-9)
 
     def test_linear_well_airy(self):
         p = PowerLaw(b=1.0, mu=1.0)
@@ -65,7 +79,7 @@ class TestEigensolver:
         for n_r in range(2):
             exact = -float(zeros[n_r]) * 2.0 ** (-1.0 / 3.0)
             assert solve_bound_state(p, QuantumLevel(n_r, 0, 3)) == \
-                pytest.approx(exact, abs=1e-5)
+                pytest.approx(exact, abs=1e-9)
 
     def test_hard_wall_bessel(self):
         # l = 0 levels of the unit box are (n pi)^2 / 2
@@ -73,20 +87,33 @@ class TestEigensolver:
         for n_r in range(2):
             exact = ((n_r + 1) * math.pi) ** 2 / 2.0
             assert solve_bound_state(wall, QuantumLevel(n_r, 0, 3)) == \
-                pytest.approx(exact, rel=1e-8)
-        # radii where exp(log R) rounds above R, so the outermost grid node
-        # must not fall behind the wall; in general E = j^2 / (2 R^2) with j
-        # the (n_r + 1)-th zero of J_lambda
+                pytest.approx(exact, rel=1e-9)
+        # radii where exp(log R) rounds above R; in general E = j^2 / (2 R^2)
+        # with j the (n_r + 1)-th zero of J_lambda
         for R in (2.91162, 3.0):
             for d, l, n_r in ((3, 0, 0), (2, 0, 0), (3, 1, 2)):
                 lvl = QuantumLevel(n_r, l, d)
                 exact = _bessel_zero(lvl.lam, n_r + 1) ** 2 / (2.0 * R * R)
                 assert solve_bound_state(HardWall(R=R), lvl) == \
-                    pytest.approx(exact, rel=1e-8)
+                    pytest.approx(exact, rel=1e-9)
 
     def test_oscillator_2s(self, oscillator):
         assert solve_bound_state(oscillator, QuantumLevel(2, 0, 3)) == \
             pytest.approx(5.5, abs=1e-6)
+
+    def test_unreachable_inner_edge(self):
+        # at lambda = 0, W ~ r^0.1 vanishes only at radii the matrix cannot
+        # represent; at lambda > 0 the e^(lambda rho) decay suffices
+        p = PowerLaw(b=-1.0, mu=-1.9)
+        with pytest.raises(NoConvergence):
+            solve_bound_state(p, QuantumLevel(0, 0, 2))
+        assert math.isfinite(solve_bound_state(p, QuantumLevel(0, 0, 3)))
+
+    def test_no_runtime_warning(self, coulomb):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (3, 2):
+                solve_bound_state(coulomb, QuantumLevel(0, 0, d))
 
 
 class TestBracketing:
@@ -102,6 +129,19 @@ class TestBracketing:
         with pytest.raises(BracketMiss):
             numerov_eigenvalue(coulomb, QuantumLevel(0, 0, 3), (-0.3, -0.4))
 
+    def test_bracket_up_to_threshold(self, yukawa):
+        # at lambda = 0 a window ending at E = 0 has no barrier to decay under
+        lvl = QuantumLevel(0, 0, 2)
+        assert numerov_eigenvalue(yukawa, lvl, (-2.0, 0.0)) == \
+            pytest.approx(solve_bound_state(yukawa, lvl), rel=1e-9)
+
+    def test_threshold_resonance_is_no_level(self):
+        # at Z = 1, u = r / (1 + r) solves the E = 0 s-wave equation of
+        # -(1 + r)^-2 / r exactly: a zero-energy resonance, not a level
+        p = parse_potential("screened:kind=inv2,Z=1")
+        with pytest.raises(BracketMiss):
+            solve_bound_state(p, QuantumLevel(0, 0, 3))
+
     def test_auto_bracket(self, coulomb):
         lo, hi = bracket_bound_state(coulomb, QuantumLevel(1, 0, 3))
         assert lo < -0.125 < hi
@@ -111,32 +151,151 @@ class TestBracketing:
             bracket_bound_state(yukawa, QuantumLevel(5, 3, 3))
 
 
-class TestConvergence:
-    def test_grid_halving_threshold(self, coulomb):
-        lvl = QuantumLevel(1, 1, 3)
-        e1 = solve_bound_state(coulomb, lvl, ShootingConfig(step=1.0 / 512.0))
-        e2 = solve_bound_state(coulomb, lvl, ShootingConfig(step=1.0 / 1024.0))
-        assert abs(e2 / e1 - 1.0) < 1e-7
+def _grid_energies(p, lvl, refinements):
+    """Single-grid n_r-th eigenvalues with 2^k times the default number of
+    intervals, for each k in ``refinements``."""
+    e_lo, e_hi = bracket_bound_state(p, lvl)
+    rho_lo, rho_hi, n = _grid(p, lvl, e_lo, e_hi)
+    tol = 1e-14 * max(abs(e_lo), abs(e_hi))
+    return [_grid_eigenvalue(p, lvl, rho_lo, rho_hi, int(n * 2.0**k), tol)
+            for k in refinements]
 
-    def test_fourth_order_decay(self):
-        # coarse grids expose the truncation error; successive halvings
-        # should shrink it by about 2^4
-        p = PowerLaw(b=1.0, mu=1.0)
-        lvl = QuantumLevel(0, 0, 3)
-        exact = -float(ai_zeros(1)[0][0]) * 2.0 ** (-1.0 / 3.0)
-        errs = []
-        for step in (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
-            cfg = ShootingConfig(step=step, tol_rel=1e-13)
-            errs.append(abs(solve_bound_state(p, lvl, cfg) - exact))
-        ratio1 = errs[0] / errs[1]
-        ratio2 = errs[1] / errs[2]
-        assert 8.0 < ratio1 < 32.0
-        assert 8.0 < ratio2 < 32.0
+
+def _richardson_drift(p, lvl):
+    """Relative change of the Richardson value from grids (h, h/2) to (h/2, h/4)."""
+    e1, e2, e4 = _grid_energies(p, lvl, (0, 1, 2))
+    coarse = (4.0 * e2 - e1) / 3.0
+    fine = (4.0 * e4 - e2) / 3.0
+    return abs(fine / coarse - 1.0)
+
+
+class TestConvergence:
+    def test_second_order_decay(self):
+        # the Richardson step assumes an h^2 error: each halving of the
+        # step should shrink the single-grid error about 4 times
+        airy = -float(ai_zeros(1)[0][0]) * 2.0 ** (-1.0 / 3.0)
+        for p, lvl, exact in ((PowerLaw(b=1.0, mu=1.0), QuantumLevel(0, 0, 3), airy),
+                              (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(1, 1, 3), -1.0 / 18.0)):
+            errs = [abs(e - exact) for e in _grid_energies(p, lvl, (-2, -1, 0))]
+            assert 3.0 < errs[0] / errs[1] < 5.0
+            assert 3.0 < errs[1] / errs[2] < 5.0
+
+    def test_grid_halving_threshold(self, coulomb):
+        assert _richardson_drift(coulomb, QuantumLevel(1, 1, 3)) < 1e-9
 
     def test_screened_channel(self):
         # a screened level has no closed form; check stability under halving
         p = parse_potential("screened:kind=exp,Z=10")
-        lvl = QuantumLevel(1, 0, 3)
-        e1 = solve_bound_state(p, lvl, ShootingConfig(step=1.0 / 512.0))
-        e2 = solve_bound_state(p, lvl, ShootingConfig(step=1.0 / 1024.0))
-        assert abs(e2 / e1 - 1.0) < 1e-7
+        assert _richardson_drift(p, QuantumLevel(1, 0, 3)) < 1e-9
+
+
+class _Rescaled(Potential):
+    """c V(sqrt(c) r): the same well with every energy multiplied by c."""
+
+    def __init__(self, p, c):
+        self.p, self.c, self.a = p, c, math.sqrt(c)
+
+    def V(self, r):
+        return self.c * self.p.V(self.a * np.asarray(r, dtype=float))
+
+    def dV(self, r):
+        return self.c * self.a * self.p.dV(self.a * np.asarray(r, dtype=float))
+
+    def d2V(self, r):
+        return self.c * self.c * self.p.d2V(self.a * np.asarray(r, dtype=float))
+
+    def kappa(self, r):
+        return self.p.kappa(self.a * np.asarray(r, dtype=float))
+
+    def asymptotic_value(self):
+        return self.c * self.p.asymptotic_value()
+
+    def reference_energy(self):
+        return self.c * self.p.reference_energy()
+
+    def energy_window(self):
+        return tuple(None if e is None else self.c * e for e in self.p.energy_window())
+
+    def energy_scale(self):
+        return self.c * self.p.energy_scale()
+
+
+_D = st.integers(2, 5)
+_N_R = st.integers(0, 3)
+_L = st.integers(0, 3)
+_SCREENED = st.builds(lambda kind, Z: parse_potential(f"screened:kind={kind},Z={Z:.6g}"),
+                      st.sampled_from(["exp", "inv2", "inv25", "tf"]),
+                      st.floats(1.0, 50.0))
+_QUARK = st.builds(lambda a, delta, B: parse_potential(
+                       f"quark:alpha={a:.6g},delta={delta:.6g},B={B:.6g}"),
+                   st.floats(0.1, 0.9), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
+
+
+def _power(mu_min):
+    return st.builds(lambda mu, b: PowerLaw(b=math.copysign(b, mu), mu=mu),
+                     st.floats(mu_min, 8.0).filter(lambda mu: abs(mu) > 1e-3),
+                     st.floats(0.2, 5.0))
+
+
+class TestProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(Z=st.floats(0.5, 5.0), d=_D, n_r=_N_R, l=_L)
+    def test_coulomb_closed_form(self, Z, d, n_r, l):
+        lvl = QuantumLevel(n_r, l, d)
+        assert solve_bound_state(PowerLaw(b=-Z, mu=-1.0), lvl) == \
+            pytest.approx(exact_reference_spectrum("coulomb", Z, lvl), rel=1e-8)
+
+    @settings(max_examples=15, deadline=None)
+    @given(b=st.floats(0.2, 3.0), d=_D, n_r=_N_R, l=_L)
+    def test_oscillator_closed_form(self, b, d, n_r, l):
+        lvl = QuantumLevel(n_r, l, d)
+        assert solve_bound_state(PowerLaw(b=b, mu=2.0), lvl) == \
+            pytest.approx(exact_reference_spectrum("oscillator", b, lvl), rel=1e-8)
+
+    @settings(max_examples=15, deadline=None)
+    @given(R=st.floats(0.5, 3.0), d=_D, n_r=_N_R, l=_L)
+    def test_wall_closed_form(self, R, d, n_r, l):
+        lvl = QuantumLevel(n_r, l, d)
+        exact = _bessel_zero(lvl.lam, n_r + 1) ** 2 / (2.0 * R * R)
+        assert solve_bound_state(HardWall(R=R), lvl) == pytest.approx(exact, rel=1e-8)
+
+    @settings(max_examples=8, deadline=None)
+    @given(p=st.one_of(_SCREENED, _QUARK), d=st.sampled_from([2, 3, 5]), l=st.integers(0, 2))
+    def test_monotone_in_n_r(self, p, d, l):
+        # levels rise strictly with n_r, and a well that cannot hold a
+        # level holds none above it either
+        energies = []
+        for n_r in range(3):
+            try:
+                energies.append(solve_bound_state(p, QuantumLevel(n_r, l, d)))
+            except BracketMiss:
+                break
+        for n_r in range(len(energies) + 1, 4):
+            with pytest.raises(BracketMiss):
+                solve_bound_state(p, QuantumLevel(n_r, l, d))
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(p=st.one_of(_SCREENED, _QUARK, _power(-1.5)), c=st.floats(0.1, 10.0),
+           d=st.sampled_from([2, 3, 5]), n_r=st.integers(0, 2), l=st.integers(0, 2))
+    def test_energy_scaling(self, p, c, d, n_r, l):
+        # V(r) -> c V(sqrt(c) r) is V -> cV combined with r -> r / sqrt(c):
+        # the radial equation in rho keeps its form and E -> c E
+        lvl = QuantumLevel(n_r, l, d)
+        try:
+            e = solve_bound_state(p, lvl)
+        except TeffError as exc:
+            with pytest.raises(type(exc)):
+                solve_bound_state(_Rescaled(p, c), lvl)
+            return
+        assert solve_bound_state(_Rescaled(p, c), lvl) == pytest.approx(c * e, rel=1e-8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=st.one_of(_SCREENED, _QUARK, _power(-1.99)), d=_D,
+           n_r=st.integers(0, 4), l=st.integers(0, 4))
+    def test_failures_are_classified(self, p, d, n_r, l):
+        try:
+            e = solve_bound_state(p, QuantumLevel(n_r, l, d))
+        except TeffError:
+            return
+        assert math.isfinite(e)
