@@ -336,8 +336,12 @@ class DiagramData:
     crossings: tuple
 
 
-def _curve_point(p, E, d, cfg):
-    s = analyze_slice(p, E)
+def _curve_point(p, E, d, cfg, slices):
+    """(phi, A chi_1) at E; ``slices`` maps each energy of the curve seen
+    so far to its slice, so no energy is analysed or integrated twice."""
+    s = slices.get(E)
+    if s is None:
+        s = slices[E] = analyze_slice(p, E)
     c1 = chi_d(p, E, 1.0, cfg, _slice=s)
     phi = phi_additive(p, E, d, cfg, _slice=s)
     return phi, c1 * s.A
@@ -367,9 +371,10 @@ def diagram_data(levels, phi_range, curve_specs, d=3, cfg=DEFAULT_CONFIG,
         label = p.spec_string()
         pts = []
         notes = []
+        slices = {}
         for E in e_grid:
             try:
-                phi, t_val = _curve_point(p, E, d, cfg)
+                phi, t_val = _curve_point(p, E, d, cfg, slices)
             except TeffError as exc:
                 notes.append(f"E={E:g} skipped: {exc}")
                 continue
@@ -383,9 +388,10 @@ def diagram_data(levels, phi_range, curve_specs, d=3, cfg=DEFAULT_CONFIG,
             for (e0, g0), (e1, g1) in zip(gap, gap[1:]):
                 if g0 == 0.0 or g0 * g1 >= 0.0:
                     continue
-                func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(_curve_point(p, E, d, cfg))
+                func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
+                    _curve_point(p, E, d, cfg, slices))
                 e_star = brentq(func, min(e0, e1), max(e0, e1), rtol=1e-10, maxiter=200)
-                phi_star, t_star = _curve_point(p, e_star, d, cfg)
+                phi_star, t_star = _curve_point(p, e_star, d, cfg, slices)
                 crossings.append(DiagramCrossing(
                     line_label=spectroscopic_label(lvl.n_r, lvl.l, d),
                     curve_label=label, phi=phi_star, t_value=t_star, E=float(e_star)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -801,6 +801,9 @@ class EnergySlice:
     A: float
     kappa_at_rm: float
     boundary_max: bool = False
+    # reduced moments integrated on this slice, keyed by (d, cfg); see
+    # quadrature.reduced_moment
+    _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.A > 0:
@@ -893,6 +896,8 @@ def analyze_slice(p, E):
     The maximum is bracketed on a log grid and polished by golden-section
     search; hard walls are handled as boundary maxima.
     """
+    if math.isnan(E):
+        raise ValueError("energy must not be NaN")
     if isinstance(p, HardWall):
         if E <= 0:
             raise NoClassicalRegion("a hard-wall well has no states at E <= 0")

@@ -156,11 +156,19 @@ def reduced_moment(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
 
     Computed once at ``tail_cut`` and once at ``tail_cut / 10`` whenever a
     truncated tail entered; failure of the two to agree raises
-    ``Divergent``.
+    ``Divergent``.  Each (d, cfg) is integrated once per slice: a slice
+    passed in again returns the value stored on it.
     """
     if d < 1.0:
         raise ValueError("moment order d must be >= 1")
     s = _slice if _slice is not None else analyze_slice(p, E)
+    key = (d, cfg)
+    if key not in s._moments:
+        s._moments[key] = _reduced_moment_refined(p, E, d, cfg, s)
+    return s._moments[key]
+
+
+def _reduced_moment_refined(p, E, d, cfg, s):
     first, truncated = _reduced_moment_parts(p, E, d, cfg, s, cfg.tail_cut)
     if not truncated:
         return first

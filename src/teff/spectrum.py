@@ -11,6 +11,7 @@ and the outer loop collapses to a single pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
@@ -48,17 +49,29 @@ class SpectrumEntry:
 
 
 class _CountingN1:
-    """N_1(E) = A(E) chi_1(E) with an evaluation counter."""
+    """N_1(E) = A(E) chi_1(E) with an evaluation counter.
+
+    Keeps the slice of every energy it has seen, so an energy that the
+    solve visits again (bracket probes, the root, the slope there) is
+    analysed once and each moment on it integrated once.  Lookups use the
+    exact float, so a hit returns what a fresh analysis would.
+    """
 
     def __init__(self, p, cfg):
         self.p = p
         self.cfg = cfg
         self.calls = 0
+        self._slices = {}
+
+    def slice(self, E):
+        s = self._slices.get(E)
+        if s is None:
+            s = self._slices[E] = analyze_slice(self.p, E)
+        return s
 
     def __call__(self, E):
         self.calls += 1
-        s = analyze_slice(self.p, E)
-        return action_I(self.p, E, 0.0, self.cfg, _slice=s)
+        return action_I(self.p, E, 0.0, self.cfg, _slice=self.slice(E))
 
 
 def _expand(f, x, factor, sign, what, origin=0.0, tries=200):
@@ -108,7 +121,7 @@ _OUTER_TOL = 1e-9
 _OUTER_MAX = 50
 
 
-def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
+def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
     """Invert the quantization condition for one level.
 
     ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda; ``"nonlinear"``
@@ -117,11 +130,12 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
     """
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
-    n1 = _CountingN1(p, cfg)
+    n1 = _n1 if _n1 is not None else _CountingN1(p, cfg)
     nu, lam = level.nu, level.lam
     phi_independent = p.scale_free or lam == 0.0
 
-    phi = phi_additive(p, p.reference_energy(), level.d, cfg)
+    e_ref = p.reference_energy()
+    phi = phi_additive(p, e_ref, level.d, cfg, _slice=n1.slice(e_ref))
     iterations = 0
     E = None
     if phi_independent:
@@ -130,7 +144,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         iterations = 1
         E = _solve_inner(n1, nu + phi * lam, p)
         if lam == 0.0:
-            phi = phi_additive(p, E, level.d, cfg)
+            phi = phi_additive(p, E, level.d, cfg, _slice=n1.slice(E))
     else:
         # fixed point on phi; plain 0.5-damped iteration contracts too
         # slowly for near-threshold levels (the feedback is positive), so
@@ -138,7 +152,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         phi_prev = r_prev = None
         for iterations in range(1, _OUTER_MAX + 1):
             E = _solve_inner(n1, nu + phi * lam, p)
-            r = phi_additive(p, E, level.d, cfg) - phi
+            r = phi_additive(p, E, level.d, cfg, _slice=n1.slice(E)) - phi
             if abs(r) <= _OUTER_TOL * max(1.0, abs(phi)):
                 break
             step = _DAMPING * r
@@ -151,7 +165,6 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
         else:
             raise NoConvergence(
                 f"phi fixed point did not settle for level {level}; last phi = {phi:g}")
-        E = _solve_inner(n1, nu + phi * lam, p)
 
     if mode == "linear":
         T = nu + phi * lam
@@ -163,7 +176,7 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG):
     # non-linear mode: seed from the linear solution, then fixed point on T
     T = None
     for it in range(1, _OUTER_MAX + 1):
-        s = analyze_slice(p, E)
+        s = n1.slice(E)
         c1 = chi_d(p, E, 1.0, cfg, _slice=s)
         c_inf = chi_infinity(p, E, cfg, _slice=s)
         t_here = teff_nonlinear(level, c1, c_inf, s.A)
@@ -191,13 +204,18 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear", cfg=DEFAULT_CONFIG
 
     For each l the radial index is incremented until the well runs out of
     capacity or the energy cap is passed (T grows with n_r, so both
-    stopping rules are monotone).
+    stopping rules are monotone).  The levels share one N_1, so the
+    energies their solves have in common are analysed once.
     """
+    if math.isnan(e_max):
+        raise ValueError("energy cap must not be NaN")
+    n1 = _CountingN1(p, cfg)
     found = []
     for l in range(l_max + 1):
         for n_r in range(200):
             try:
-                entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode, cfg=cfg)
+                entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode, cfg=cfg,
+                                        _n1=n1)
             except NoBoundState:
                 break
             if entry.E > e_max:

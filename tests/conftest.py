@@ -1,7 +1,11 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from teff import PowerLaw, parse_potential
+from teff import potentials
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +33,20 @@ def yukawa_table(tmp_path_factory):
     body = "# r V\n" + "\n".join(f"{ri:.16e} {vi:.16e}" for ri, vi in zip(r, v))
     path.write_text(body)
     return path
+
+
+@pytest.fixture
+def slice_counts(monkeypatch):
+    """Counter of (potential spec, E) over the calls of analyze_slice, made
+    through every teff module that binds it."""
+    counts = Counter()
+    original = potentials.analyze_slice
+
+    def counted(p, E):
+        counts[(p.spec_string(), E)] += 1
+        return original(p, E)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("teff.") and getattr(module, "analyze_slice", None) is original:
+            monkeypatch.setattr(module, "analyze_slice", counted)
+    return counts

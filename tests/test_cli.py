@@ -130,6 +130,9 @@ class TestExitCodes:
         ["order", "--phi", "-1", "--count", "3"],
         ["order", "--phi", "1", "--count", "0"],
         ["diagram", "--potential", "power:b=1,mu=2", "--phi-max", "3"],
+        ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "nan",
+         "--lmax", "0"],
+        ["chi-table", "--potential", "power:b=1,mu=2", "--energy", "nan"],
     ])
     def test_bad_argument_is_2(self, args):
         # run as the installed script would be, so a traceback would show

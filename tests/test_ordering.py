@@ -277,6 +277,15 @@ class TestDiagram:
         text = json.dumps(obj)
         assert "crossings" in obj and json.loads(text) == obj
 
+    def test_no_energy_analysed_twice(self, slice_counts):
+        # grid points, the crossing searches and the crossing points share
+        # one slice per energy
+        yukawa = parse_potential("screened:kind=exp,Z=50")
+        levels = [QuantumLevel(n_r, l, 3) for n_r in range(2) for l in range(2)]
+        dd = diagram_data(levels, (0.2, 2.2), [(yukawa, [-1200.0, -300.0, -95.0, -38.0])])
+        assert len(dd.crossings) >= 2
+        assert max(slice_counts.values()) == 1
+
     def test_bad_phi_range(self):
         with pytest.raises(ValueError):
             diagram_data([QuantumLevel(0, 0, 3)], (0.0, 2.0), [])

@@ -161,6 +161,11 @@ class TestAnalyzeSlice:
         assert s.A == pytest.approx(math.sqrt(2.0 / math.e), rel=1e-12)
         assert math.isinf(s.r_t)
 
+    @pytest.mark.parametrize("spec", ["power:b=1,mu=2", "wall:R=1"])
+    def test_nan_energy_is_rejected(self, spec):
+        with pytest.raises(ValueError, match="NaN"):
+            analyze_slice(parse_potential(spec), math.nan)
+
     def test_stationarity(self, yukawa):
         s = analyze_slice(yukawa, -0.05)
         rho_m = math.log(s.r_m)

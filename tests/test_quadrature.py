@@ -17,6 +17,7 @@ from teff import (
     moment_M,
     nonlinearity_residual,
     parse_potential,
+    reduced_moment,
 )
 from teff.ordering import leading_degeneracy
 
@@ -122,6 +123,19 @@ class TestMoments:
         # B(3/2, 1/2) = pi/2 collapses the d = 2 prefactor to 1/2
         assert bound_count_N(yukawa, -0.1, 2) == pytest.approx(
             0.5 * moment_M(yukawa, -0.1, 2), rel=1e-12)
+
+    def test_slice_keeps_each_config_apart(self, yukawa):
+        # a slice stores its moments per (d, config): a second config on the
+        # same slice gets its own integral, not the first config's value
+        loose = QuadratureConfig(rel_tol=1e-6)
+        s = analyze_slice(yukawa, -0.1)
+        for d in (1, 3):
+            first = reduced_moment(yukawa, -0.1, d, loose, _slice=s)
+            second = reduced_moment(yukawa, -0.1, d, _slice=s)
+            assert first == reduced_moment(yukawa, -0.1, d, loose)
+            assert second == reduced_moment(yukawa, -0.1, d)
+            assert first != second
+            assert reduced_moment(yukawa, -0.1, d, loose, _slice=s) == first
 
 
 class TestNonlinearity:

@@ -3,6 +3,7 @@ import math
 import pytest
 from scipy.special import ai_zeros
 
+from teff import spectrum
 from teff import (
     NoBoundState,
     PowerLaw,
@@ -170,3 +171,27 @@ class TestLowDimensionalChannels:
         p = parse_potential("screened:kind=exp,Z=10")
         states = enumerate_bound_states(p, -0.05, 2, 1)
         assert states and [s.E for s in states] == sorted(s.E for s in states)
+
+
+class TestSharedSlices:
+    """One enumeration shares its slices and moments across levels."""
+
+    @pytest.mark.parametrize("spec,emax", [("screened:kind=exp,Z=50", -0.05),
+                                           ("quark:alpha=0.5,delta=1,B=3", 8.0)])
+    def test_enumeration_equals_single_levels(self, spec, emax):
+        p = parse_potential(spec)
+        states = enumerate_bound_states(p, emax, 3, 1)
+        assert len(states) >= 4
+        assert states == [quantize_energy(p, QuantumLevel(s.n_r, s.l, 3)) for s in states]
+
+    def test_no_energy_analysed_twice(self, slice_counts):
+        enumerate_bound_states(parse_potential("screened:kind=exp,Z=10"), -0.05, 3, 1)
+        assert slice_counts and max(slice_counts.values()) == 1
+
+    def test_nan_cap_solves_nothing(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(spectrum, "quantize_energy", solve)
+        with pytest.raises(ValueError, match="NaN"):
+            enumerate_bound_states(PowerLaw(b=1.0, mu=2.0), math.nan, 3, 0)
