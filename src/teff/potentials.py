@@ -23,8 +23,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.integrate import solve_bvp
+from scipy.interpolate import BPoly, CubicSpline, PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import MultipleMaxima, NoClassicalRegion, NumericsError, PotentialError
@@ -167,6 +167,7 @@ class TabulatedScreening(Screening):
 
 _TF_X0 = 1e-6          # series is used below this point
 _TF_X_TABLE = 1.0e4    # dense table extends to here; 144/x^3 beyond
+_TF_HORIZON = 1.0e6    # far-field condition x Phi' = -3 Phi is imposed here
 _TF_LOCK = threading.Lock()
 _TF_SOLUTION = None
 
@@ -181,121 +182,101 @@ def _tf_series(x, slope):
     return phi, dphi
 
 
-def _tf_rhs(x, y):
-    phi = max(y[0], 0.0)
-    return (y[1], phi * math.sqrt(phi) / math.sqrt(x))
+def _tf_rhs(t, y):
+    """The TF equation in t = ln x for u = ln Phi and v = x Phi' / Phi."""
+    u, v = y
+    return np.vstack((v, v - v * v + np.exp(1.5 * t + 0.5 * u)))
 
 
-def _tf_classify(x_start, y_start, x_classify):
-    """Integrate one trajectory; -1 if it crosses zero (slope too steep),
-    +1 if the slope turns up while positive (too shallow).
+def _tf_series_slope(dphi):
+    """The slope whose small-x series has derivative ``dphi`` at x0."""
+    return (dphi - 2.0 * math.sqrt(_TF_X0) - _TF_X0**2) / (1.0 + _TF_X0**1.5)
 
-    A separatrix-hugging trajectory may reach the horizon without firing
-    either event; the horizon is then pushed out (the off-manifold error
-    grows like a power of x, so a verdict always arrives) up to a cap.
+
+def _tf_bc(ya, yb):
+    # left: the small-x series, with the slope eliminated through Phi'(x0);
+    # right: the 144/x^3 tail, whose logarithmic derivative is -3
+    phi = math.exp(ya[0])
+    slope = _tf_series_slope(ya[1] * phi / _TF_X0)
+    return np.array([phi - float(_tf_series(_TF_X0, slope)[0]), yb[1] + 3.0])
+
+
+def _tf_minus_dphi(logphi, t):
+    """-Phi'(x) = int_x^inf Phi^(3/2) x^(-1/2) dx at x = e^t, integrated
+    on the interpolant ``logphi`` of ln Phi.
+
+    Reading Phi' from v = x Phi'/Phi instead would divide the collocation's
+    absolute error by x (~1e-7 relative at x0); this integral of a positive
+    integrand has no such cancellation, and at x -> 0 it gives the slope.
     """
-
-    def hit_zero(x, y):
-        return y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    def slope_up(x, y):
-        return y[1]
-
-    slope_up.terminal = True
-    slope_up.direction = 1
-
-    # classification only needs the event side, not tight trajectories;
-    # the final dense passes are integrated separately at 1e-11
-    for _ in range(4):
-        sol = solve_ivp(_tf_rhs, (x_start, x_classify), y_start, method="DOP853",
-                        rtol=1e-11, atol=1e-30, events=(hit_zero, slope_up),
-                        dense_output=False)
-        if sol.t_events[0].size:
-            return -1
-        if sol.t_events[1].size:
-            return 1
-        x_classify *= 4.0
-    return 0
+    # Gauss-Legendre on every interval between the nodes and the t, of
+    # Phi^(3/2) x^(1/2) dt = Phi'' dx
+    g, w = np.polynomial.legendre.leggauss(3)
+    grid = np.union1d(logphi.x, t)
+    half = 0.5 * np.diff(grid)[:, None]
+    tt = (half * g + 0.5 * (grid[:-1] + grid[1:])[:, None]).ravel()
+    pieces = (half * np.exp(1.5 * logphi(tt) + 0.5 * tt).reshape(half.size, -1)) @ w
+    # beyond the horizon the integral is -Phi'(X) = 3 Phi(X) / X
+    far = 3.0 * math.exp(logphi(grid[-1]) - grid[-1])
+    right = far + np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+    return right[np.searchsorted(grid, t)]
 
 
-def _tf_bisect(x_start, phi_start, p_lo, p_hi, x_classify):
-    """Bisect on the starting slope until the bracket collapses to
-    machine width.  p_lo crosses zero, p_hi turns up."""
-    for _ in range(90):
-        mid = 0.5 * (p_lo + p_hi)
-        if mid == p_lo or mid == p_hi or abs(p_hi - p_lo) < 1e-16 * abs(mid):
-            break
-        if x_start <= _TF_X0:
-            y0 = [float(v) for v in _tf_series(x_start, mid)]
-            y0 = [y0[0], y0[1]]
-        else:
-            y0 = [phi_start, mid]
-        out = _tf_classify(x_start, y0, x_classify)
-        if out < 0:
-            p_lo = mid
-        elif out > 0:
-            p_hi = mid
-        else:
-            # even the extended horizon cannot separate this trajectory
-            # from the separatrix; the bracket is already at noise level
-            p_lo, p_hi = mid, mid
-            break
-    return 0.5 * (p_lo + p_hi)
+def _quintic_hermite(x, y, dy, d2y):
+    """C2 piecewise quintic matching y, y' and y'' at every node.
+
+    Kept in Bernstein form: converted to the power basis it loses enough
+    digits to cancellation to show in finite-difference curvatures.
+    """
+    h = np.diff(x)
+    c = np.array([y[:-1],
+                  y[:-1] + h * dy[:-1] / 5.0,
+                  y[:-1] + 2.0 * h * dy[:-1] / 5.0 + h * h * d2y[:-1] / 20.0,
+                  y[1:] - 2.0 * h * dy[1:] / 5.0 + h * h * d2y[1:] / 20.0,
+                  y[1:] - h * dy[1:] / 5.0,
+                  y[1:]])
+    return BPoly(c, x)
 
 
 class _TFSolution:
-    """Dense monotone table of the screening function, solved by shooting."""
+    """Dense monotone table of the screening function from one collocation
+    solve of the log-variable boundary-value problem."""
 
     def __init__(self):
-        # stage 1: bisection on the initial slope, classified at x = 50
-        slope = _tf_bisect(_TF_X0, 1.0, -2.0, -1.0, 50.0)
-        self.slope = slope
-
-        # staged continuation: restarting from a frozen interior point
-        # resets the double-precision amplification of the unstable mode,
-        # which pure single-shot shooting cannot push past x ~ 50
-        stages = [(_TF_X0, 10.0, 50.0), (10.0, 100.0, 500.0),
-                  (100.0, 1000.0, 5000.0), (1000.0, _TF_X_TABLE, 4.0 * _TF_X_TABLE)]
-        xs_all, phi_all, dphi_all = [], [], []
-        y = list(_tf_series(_TF_X0, slope))
-        y = [float(y[0]), float(y[1])]
-        x_from = _TF_X0
-        for k, (x_anchor, x_use, x_classify) in enumerate(stages):
-            if k > 0:
-                p = y[1]
-                y[1] = _tf_bisect(x_anchor, y[0], 1.5 * p, 0.5 * p, x_classify)
-            decades = math.log10(x_use / x_from)
-            t_eval = np.geomspace(x_from, x_use, int(2600 * max(1.0, decades)))
-            sol = solve_ivp(_tf_rhs, (x_from, x_use), y, method="DOP853",
-                            rtol=1e-12, atol=1e-30, t_eval=t_eval)
-            xs_all.append(sol.t[:-1] if k + 1 < len(stages) else sol.t)
-            phi_all.append(sol.y[0][:-1] if k + 1 < len(stages) else sol.y[0])
-            dphi_all.append(sol.y[1][:-1] if k + 1 < len(stages) else sol.y[1])
-            y = [float(sol.y[0][-1]), float(sol.y[1][-1])]
-            x_from = x_use
-
-        xs = np.concatenate(xs_all)
-        phi = np.concatenate(phi_all)
-        dphi = np.concatenate(dphi_all)
-        keep = phi > 0
-        xs, phi, dphi = xs[keep], phi[keep], dphi[keep]
-        if np.any(np.diff(phi) >= 0):
+        # log variables keep the residual relative: solve_bvp's tolerance
+        # is absolute on a residual scaled by 1 + |f|, and Phi itself falls
+        # to ~1e-7 at x = 1e3.  Sommerfeld's (1 + y)^(-3/lam) approximation,
+        # y = (x / 144^(1/3))^lam, is the first guess.
+        t = np.linspace(math.log(_TF_X0), math.log(_TF_HORIZON), 400)
+        lam = 0.772
+        y = (np.exp(t) / 144.0 ** (1.0 / 3.0)) ** lam
+        guess = np.vstack((-3.0 / lam * np.log1p(y), -3.0 * y / (1.0 + y)))
+        sol = solve_bvp(_tf_rhs, _tf_bc, t, guess, tol=1e-10, max_nodes=100000)
+        if not sol.success:
+            raise NumericsError(f"Thomas-Fermi collocation failed: {sol.message}")
+        # the collocation's own interpolant is a C1 cubic whose kinks in
+        # u'' would show in finite-difference curvatures of W; a quintic
+        # Hermite that carries the equation's u'' at every node is C2
+        logphi = _quintic_hermite(sol.x, *sol.y, _tf_rhs(sol.x, sol.y)[1])
+        xs = np.geomspace(_TF_X0, _TF_X_TABLE, 26001)
+        ts = np.log(xs)
+        u = logphi(ts)
+        mdphi = _tf_minus_dphi(logphi, ts)
+        if np.any(np.diff(u) >= 0):
             raise NumericsError("screening table is not strictly decreasing")
+        self.slope = _tf_series_slope(-float(mdphi[0]))
         # C2 splines keep finite-difference second derivatives of W clean;
         # monotonicity is asserted on a dense probe of the fitted curve
-        self._logphi = CubicSpline(np.log(xs), np.log(phi), extrapolate=False)
-        self._logmdphi = CubicSpline(np.log(xs), np.log(-dphi), extrapolate=False)
-        probe = np.linspace(math.log(xs[0]), math.log(xs[-1]), 20001)
+        self._logphi = CubicSpline(ts, u, extrapolate=False)
+        self._logmdphi = CubicSpline(ts, np.log(mdphi), extrapolate=False)
+        probe = np.linspace(ts[0], ts[-1], 20001)
         if np.any(np.diff(self._logphi(probe)) >= 0):
             raise NumericsError("interpolated screening table is not monotone")
         self.x_min = float(xs[0])
         self.x_max = float(xs[-1])
         # inverse-cube asymptote, anchored continuously at the table edge
         # (the pure 144/x^3 form overshoots by ~1% there)
-        self.tail_coeff = float(phi[-1]) * self.x_max**3
+        self.tail_coeff = math.exp(u[-1]) * self.x_max**3
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)

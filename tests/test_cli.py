@@ -133,6 +133,8 @@ class TestExitCodes:
         ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "nan",
          "--lmax", "0"],
         ["chi-table", "--potential", "power:b=1,mu=2", "--energy", "nan"],
+        ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "inf",
+         "--lmax", "0"],
     ])
     def test_bad_argument_is_2(self, args):
         # run as the installed script would be, so a traceback would show

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 
 from teff import (
     HardWall,
@@ -17,7 +21,34 @@ from teff import (
     tf_initial_slope,
     tf_screening,
 )
+from teff import potentials
 from teff.potentials import load_table
+
+
+def _tf_log_reference(horizon, tol):
+    """ln Phi as a function of t = ln x, from a collocation solve of the
+    Thomas-Fermi equation that shares no code with teff.
+
+    u = ln Phi and v = x Phi'/Phi obey u' = v, v' = v - v^2 + x^(3/2) e^(u/2).
+    The slope p is a free parameter: at x0 the state matches the series
+    Phi = 1 + p x + (4/3) x^(3/2), and at the horizon v = -3 (144/x^3 tail).
+    """
+    x0 = 1e-6
+
+    def rhs(t, y, p):
+        return np.vstack((y[1], y[1] - y[1] ** 2 + np.exp(1.5 * t + 0.5 * y[0])))
+
+    def bc(ya, yb, p):
+        phi = 1.0 + p[0] * x0 + 4.0 / 3.0 * x0 ** 1.5
+        dphi = p[0] + 2.0 * math.sqrt(x0)
+        return np.array([ya[0] - math.log(phi), ya[1] - x0 * dphi / phi, yb[1] + 3.0])
+
+    t = np.linspace(math.log(x0), math.log(horizon), 300)
+    x = np.exp(t)
+    guess = np.vstack((-3.0 * np.log1p(x / 5.0), -3.0 * x / (5.0 + x)))
+    sol = solve_bvp(rhs, bc, t, guess, p=[-1.5], tol=tol, max_nodes=100000)
+    assert sol.success, sol.message
+    return lambda t: sol.sol(t)[0]
 
 
 class TestParsing:
@@ -221,9 +252,46 @@ class TestThomasFermi:
         assert tf_screening(0.0) == 1.0
 
     def test_initial_slope(self):
-        # frozen from the shooting solve; cross-validated against an
-        # independent collocation solve of the same boundary-value problem
-        assert tf_initial_slope() == pytest.approx(-1.588071, abs=2e-5)
+        # Boyd, J. Comput. Appl. Math. 244 (2013), to 16 digits; the build
+        # integrates Phi'(0) = -int_0^inf Phi^(3/2) x^(-1/2) dx on its solution
+        assert tf_initial_slope() == pytest.approx(-1.588071022611375, abs=1e-12)
+
+    def test_profile_matches_reference(self):
+        # Two settings of the reference, (1e6, 1e-11) and (1e7, 1e-11), agree
+        # to 3e-14 on this range, and the table sits 1.5e-13 from it; 1e-10
+        # is the build's own collocation tolerance.  A table 2.5e-6 off near
+        # x = 1e3 fails.
+        x = np.geomspace(1e-3, 1e3, 2001)
+        reference = np.exp(_tf_log_reference(1e6, 1e-11)(np.log(x)))
+        np.testing.assert_allclose(tf_screening(x), reference, rtol=1e-10, atol=0.0)
+
+    def test_concurrent_first_use_builds_once(self, monkeypatch):
+        built = []
+
+        class Counting(potentials._TFSolution):
+            def __init__(self):
+                built.append(None)
+                super().__init__()
+
+        monkeypatch.setattr(potentials, "_TF_SOLUTION", None)
+        monkeypatch.setattr(potentials, "_TFSolution", Counting)
+        barrier = threading.Barrier(4, timeout=60)
+
+        def first_use():
+            barrier.wait()
+            return tf_initial_slope()
+
+        # a short switch interval interleaves the threads' check and build
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(first_use) for _ in range(4)]
+                slopes = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        assert len(set(slopes)) == 1
 
     def test_far_tail(self):
         # inverse-cube asymptote, anchored at the table edge where the

@@ -195,3 +195,20 @@ class TestSharedSlices:
         monkeypatch.setattr(spectrum, "quantize_energy", solve)
         with pytest.raises(ValueError, match="NaN"):
             enumerate_bound_states(PowerLaw(b=1.0, mu=2.0), math.nan, 3, 0)
+
+    @pytest.mark.parametrize("spec", ["power:b=1,mu=2", "wall:R=1"])
+    def test_infinite_cap_without_threshold_solves_nothing(self, monkeypatch, spec):
+        # a well with no continuum threshold holds infinitely many levels
+        def solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(spectrum, "quantize_energy", solve)
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_bound_states(parse_potential(spec), math.inf, 3, 0)
+
+    def test_infinite_cap_below_threshold(self):
+        # the threshold at E = 0 already ends every channel
+        p = parse_potential("screened:kind=exp,Z=10")
+        states = enumerate_bound_states(p, math.inf, 3, 1)
+        assert len(states) >= 3
+        assert states == enumerate_bound_states(p, 0.0, 3, 1)
