@@ -14,6 +14,15 @@ directly: that eigenvector has exactly n_r sign changes, so the Sturm
 index is the node count.  One Richardson step on two grids removes the
 h^2 error.  None of this shares code with the quadrature pipeline;
 independence is the point.
+
+The deep-left diagonal ~ 1/(h^2 r^2) stretches the Gershgorin interval of
+the matrix to 1e13-1e65, so bisecting it for an eigenvalue index costs
+180-500 Sturm sweeps.  The search therefore runs in a narrow window: an
+index search on a grid with 8 times fewer intervals gives a seed; the
+Sturm count N(vl) on the full grid at vl = seed - delta certifies that
+the n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta];
+bisection on that window alone takes about 40 sweeps.  A window that
+misses the level is widened, and a count below the Gershgorin floor is 0.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import BracketMiss, NoConvergence
 from .potentials import analyze_slice
@@ -38,6 +48,10 @@ _DECAY_MARGIN = 35.0     # e-folds of decay between the level and a grid edge
 # deepest left edge: off-diagonal entries ~ 1/(h^2 r^2) must stay far below
 # sqrt(float max), which LAPACK squares, and so must its pivot floor
 _RHO_FLOOR = -150.0
+_SEED_COARSENING = 8     # the seed grid has this many times fewer intervals
+_SEED_TOL_FACTOR = 1e5   # the seed needs only to land well inside its window
+_WINDOW = 1e-3           # first window half-width, relative to the seed
+_MAX_WIDENINGS = 30      # each one 8 times wider: far past any seed's error
 
 
 def exact_reference_spectrum(kind, strength, level):
@@ -54,6 +68,13 @@ def exact_reference_spectrum(kind, strength, level):
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
+def _inner_turning_point(p, E, q, rho_m):
+    """The largest rho <= rho_m, on a 1/4 step, where W(E, rho) <= q."""
+    rho = rho_m - 0.25 * np.arange(int((rho_m - _RHO_FLOOR) / 0.25) + 1)
+    below = np.flatnonzero(p.W(E, rho) <= q)
+    return float(rho[below[0]]) if below.size else _RHO_FLOOR
+
+
 def _grid(p, level, e_lo, e_hi):
     """(rho_lo, rho_hi, intervals) of the coarse grid for an energy window.
 
@@ -66,9 +87,14 @@ def _grid(p, level, e_lo, e_hi):
     w_scale = max(s.A**2, lam**2)
 
     # left edge: enough e^(lambda rho) suppression, and W negligible; at
-    # lambda = 0 psi tends to a constant, so W itself must vanish there
+    # lambda = 0 psi tends to a constant, so W itself must vanish there.
+    # The suppression is counted from the inner turning point W = lambda^2
+    # too: near a threshold the W maximum of a slowly decaying tail lies
+    # far outside the well
     if lam > 0:
-        rho_lo = rho_m - max(_DECAY_MARGIN / lam, 12.0)
+        margin = max(_DECAY_MARGIN / lam, 12.0)
+        rho_in = _inner_turning_point(p, e_hi, lam * lam, rho_m)
+        rho_lo = min(rho_m - margin, max(rho_in - margin, _RHO_FLOOR))
         w_small = 1e-12 * w_scale
     else:
         rho_lo = rho_m - 40.0
@@ -102,8 +128,8 @@ def _grid(p, level, e_lo, e_hi):
     return rho_lo, rho_hi, max(int(math.ceil((rho_hi - rho_lo) / _STEP)), 64)
 
 
-def _grid_eigenvalue(p, level, rho_lo, rho_hi, intervals, tol):
-    """n_r-th eigenvalue of the three-point discretisation on one grid."""
+def _matrix(p, level, rho_lo, rho_hi, intervals):
+    """Diagonal and off-diagonal of the symmetric three-point matrix."""
     rho, h = np.linspace(rho_lo, rho_hi, intervals + 1, retstep=True)
     r = np.exp(rho[:-1])  # psi = 0 on the last node
     two_r2 = 2.0 * r * r
@@ -112,9 +138,40 @@ def _grid_eigenvalue(p, level, rho_lo, rho_hi, intervals, tol):
     # ghost node psi_(-1) = e^(-lambda h) psi_0 carries psi ~ e^(lambda rho)
     d[0] -= math.exp(-lam * h) / (h * h * two_r2[0])
     off = -1.0 / (2.0 * h * h * r[:-1] * r[1:])
-    return float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
-                                  select_range=(level.n_r, level.n_r),
-                                  lapack_driver="stebz", tol=tol)[0])
+    return d, off
+
+
+def _window(d, off, vl, vu, tol):
+    """Eigenvalues of the matrix in (vl, vu], bisected to ``tol``."""
+    m, w, _, _, info = dstebz(d, off, 1, vl, vu, 0, 0, tol, b"E")
+    if info != 0:
+        raise NoConvergence(f"dstebz failed with info = {info}")
+    return w[:m]
+
+
+def _grid_eigenvalue(p, level, rho_lo, rho_hi, intervals, tol):
+    """n_r-th eigenvalue of the three-point discretisation on one grid,
+    found in a window around a coarse-grid seed (see the module notes)."""
+    n_r = level.n_r
+    d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // _SEED_COARSENING, 64))
+    seed = float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                                  select_range=(n_r, n_r), lapack_driver="stebz",
+                                  tol=_SEED_TOL_FACTOR * tol)[0])
+    d, off = _matrix(p, level, rho_lo, rho_hi, intervals)
+    # Gershgorin lower bound (off < 0), kept clear of rounding
+    floor = float(np.min(d + np.r_[off, 0.0] + np.r_[0.0, off]))
+    floor -= 1e-9 * abs(floor)
+    delta = _WINDOW * abs(seed) + tol
+    for _ in range(_MAX_WIDENINGS):
+        vl, vu = seed - delta, seed + delta
+        # N(vl): a tolerance wider than (floor, vl] stops dstebz before its
+        # first bisection step, so the count costs two Sturm sweeps
+        below = len(_window(d, off, floor, vl, 2.0 * (vl - floor))) if vl > floor else 0
+        w = _window(d, off, vl, vu, tol)
+        if 0 <= n_r - below < len(w):
+            return float(w[n_r - below])
+        delta *= 8.0
+    raise NoConvergence(f"no window around {seed:.10g} holds level n_r = {n_r}")
 
 
 def numerov_eigenvalue(p, level, e_bracket):

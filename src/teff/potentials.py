@@ -374,6 +374,9 @@ class Potential:
     # True when V comes from interpolated data, whose second derivatives
     # are finite differences
     interpolated = False
+    # True when the bound levels accumulate at the ceiling of
+    # energy_window(), so that any cap at or above it holds infinitely many
+    levels_accumulate = False
 
     def V(self, r):
         raise NotImplementedError
@@ -471,6 +474,11 @@ class PowerLaw(Potential):
 
     def energy_window(self):
         return (0.0, None) if self.mu > 0 else (None, 0.0)
+
+    @property
+    def levels_accumulate(self):
+        # a tail falling off slower than r^-2 binds infinitely many levels
+        return self.mu < 0
 
     def energy_scale(self):
         return abs(self.b) ** (2.0 / (2.0 + self.mu))

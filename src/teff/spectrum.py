@@ -209,9 +209,13 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear", cfg=DEFAULT_CONFIG
     """
     if math.isnan(e_max):
         raise ValueError("energy cap must not be NaN")
-    if e_max == math.inf and p.energy_window()[1] is None:
+    ceiling = p.energy_window()[1]
+    if e_max == math.inf and ceiling is None:
         # a well with no continuum threshold has infinitely many levels
         raise ValueError("energy cap must be finite for a well without a threshold")
+    if p.levels_accumulate and e_max >= ceiling:
+        raise ValueError(f"levels accumulate at the threshold {ceiling:g}; "
+                         "the energy cap must lie below it")
     n1 = _CountingN1(p, cfg)
     found = []
     for l in range(l_max + 1):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -135,6 +136,8 @@ class TestExitCodes:
         ["chi-table", "--potential", "power:b=1,mu=2", "--energy", "nan"],
         ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "inf",
          "--lmax", "0"],
+        ["spectrum", "--potential", "power:b=-1,mu=-1", "--enumerate", "--emax", "0",
+         "--lmax", "0"],
     ])
     def test_bad_argument_is_2(self, args):
         # run as the installed script would be, so a traceback would show
@@ -146,6 +149,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    def test_cap_at_accumulation_point_is_rejected_at_once(self):
+        # Coulomb levels pile up at E = 0: no level is solved before the exit
+        start = time.perf_counter()
+        code = main(["spectrum", "--potential", "power:b=-1,mu=-1", "--enumerate",
+                     "--emax", "0", "--lmax", "0"])
+        assert code == 2
+        assert time.perf_counter() - start < 2.0
 
 
 class TestVerifyCommand:

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import ai_zeros, jv
 
@@ -20,9 +21,11 @@ from teff import (
     exact_reference_spectrum,
     numerov_eigenvalue,
     parse_potential,
+    quantize_energy,
     solve_bound_state,
 )
-from teff.oracle import _grid, _grid_eigenvalue
+from teff import oracle
+from teff.oracle import _RHO_FLOOR, _grid, _grid_eigenvalue, _matrix
 
 
 def _bessel_zero(nu, k):
@@ -167,6 +170,125 @@ def _richardson_drift(p, lvl):
     coarse = (4.0 * e2 - e1) / 3.0
     fine = (4.0 * e4 - e2) / 3.0
     return abs(fine / coarse - 1.0)
+
+
+def _index_search(p, lvl, rho_lo, rho_hi, intervals, tol):
+    """Reference: the n_r-th eigenvalue by bisecting the whole Gershgorin
+    interval for its index, with no seed and no window."""
+    d, off = _matrix(p, lvl, rho_lo, rho_hi, intervals)
+    return float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                                  select_range=(lvl.n_r, lvl.n_r),
+                                  lapack_driver="stebz", tol=tol)[0])
+
+
+class TestWindowSearch:
+    """The seeded window search against the index search it replaces."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        """Records the (vl, vu) of each dstebz call: a count and a window
+        per window tried, the count skipped below the Gershgorin floor."""
+        calls = []
+        original = oracle._window
+
+        def recorded(*args):
+            calls.append(args[2:4])
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_window", recorded)
+        return calls
+
+    @staticmethod
+    def _grid_of(p, lvl):
+        """(rho_lo, rho_hi, intervals, tol) as ``numerov_eigenvalue`` sets them."""
+        e_lo, e_hi = bracket_bound_state(p, lvl)
+        return (*_grid(p, lvl, e_lo, e_hi), 1e-14 * max(abs(e_lo), abs(e_hi)))
+
+    @staticmethod
+    def _agrees(p, lvl, rho_lo, rho_hi, intervals, tol):
+        return abs(_grid_eigenvalue(p, lvl, rho_lo, rho_hi, intervals, tol)
+                   - _index_search(p, lvl, rho_lo, rho_hi, intervals, tol)) <= 2.0 * tol
+
+    @pytest.mark.parametrize("p,lvl", [
+        (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(0, 0, 2)),   # lambda = 0
+        (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(2, 0, 2)),
+        (HardWall(R=1.0), QuantumLevel(2, 1, 3)),
+        (PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)),
+        (PowerLaw(b=-1.0, mu=-1.9), QuantumLevel(0, 0, 3)),
+    ], ids=["coulomb-2d-s", "coulomb-2d-3s", "wall", "mu7.9", "mu-1.9"])
+    def test_matches_index_search(self, p, lvl):
+        rho_lo, rho_hi, n, tol = self._grid_of(p, lvl)
+        for k in (1, 2):
+            assert self._agrees(p, lvl, rho_lo, rho_hi, k * n, tol)
+
+    def test_grid_at_the_floor(self):
+        # the mu = -1.9 case above runs on the deepest grid the matrix allows
+        rho_lo, _, _, _ = self._grid_of(PowerLaw(b=-1.0, mu=-1.9), QuantumLevel(0, 0, 3))
+        assert rho_lo < _RHO_FLOOR + 5.0
+
+    def test_missed_window_is_widened(self, windows):
+        # this excited Yukawa level lies more than 1e-3 |E| from its seed
+        p, lvl = parse_potential("screened:kind=exp,Z=50"), QuantumLevel(4, 1, 3)
+        grid = self._grid_of(p, lvl)
+        windows.clear()
+        assert self._agrees(p, lvl, *grid)
+        assert len(windows) > 2
+
+    def test_forced_widening(self, monkeypatch, windows):
+        monkeypatch.setattr(oracle, "_WINDOW", 1e-12)
+        p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
+        grid = self._grid_of(p, lvl)
+        windows.clear()
+        assert self._agrees(p, lvl, *grid)
+        assert len(windows) > 2
+
+    def test_window_below_gershgorin_floor(self, monkeypatch, windows):
+        # at lambda > 1 the Gershgorin floor is positive; a window reaching
+        # ten times the level below the seed ends below it, where the count is 0
+        p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
+        rho_lo, rho_hi, n, tol = self._grid_of(p, lvl)
+        d, off = _matrix(p, lvl, rho_lo, rho_hi, n)
+        assert 0.0 < np.min(d + np.r_[off, 0.0] + np.r_[0.0, off]) < 5.4
+        monkeypatch.setattr(oracle, "_WINDOW", 10.0)
+        windows.clear()
+        assert self._agrees(p, lvl, rho_lo, rho_hi, n, tol)
+        assert len(windows) == 1   # no count call, one refining window
+
+
+class TestInnerEdge:
+    """At lambda > 0 the grid must start left of the inner turning point,
+    although near a threshold the W maximum of a slowly decaying tail lies
+    far outside the well."""
+
+    @pytest.mark.parametrize("spec,n_r,l,d", [
+        ("power:b=-1,mu=-0.6", 0, 1, 3),
+        ("power:b=-1,mu=-0.4", 0, 1, 3),
+        ("power:b=-1,mu=-0.8", 0, 2, 3),
+        ("power:b=1,mu=0.05", 0, 1, 3),
+    ])
+    def test_agrees_with_quantization(self, spec, n_r, l, d):
+        p, lvl = parse_potential(spec), QuantumLevel(n_r, l, d)
+        assert solve_bound_state(p, lvl) == \
+            pytest.approx(quantize_energy(p, lvl).E, rel=0.015)
+
+    @settings(max_examples=12, deadline=None)
+    @given(mu=st.one_of(st.floats(-1.8, -0.25), st.floats(0.05, 8.0)),
+           d=st.sampled_from([2, 3]), n_r=st.integers(0, 2), l=st.integers(0, 2))
+    @example(mu=-0.6, d=3, n_r=0, l=1)
+    def test_levels_rise_with_l(self, mu, d, n_r, l):
+        # b only rescales the energies of a power law, so b = +-1 covers all
+        p = PowerLaw(b=math.copysign(1.0, mu), mu=mu)
+        try:
+            lower = solve_bound_state(p, QuantumLevel(n_r, l, d))
+            upper = solve_bound_state(p, QuantumLevel(n_r, l + 1, d))
+        except (NoConvergence, BracketMiss):
+            # the known limits at mu -> -1.8: the lambda = 0 inner region
+            # lies below _RHO_FLOOR, and the highest levels lie above the
+            # bracket's top 1e-9 below the threshold
+            if mu > -1.75:
+                raise
+            reject()
+        assert lower < upper
 
 
 class TestConvergence:

@@ -212,3 +212,19 @@ class TestSharedSlices:
         states = enumerate_bound_states(p, math.inf, 3, 1)
         assert len(states) >= 3
         assert states == enumerate_bound_states(p, 0.0, 3, 1)
+
+    @pytest.mark.parametrize("spec", ["power:b=-1,mu=-1", "power:b=-2,mu=-0.5"])
+    @pytest.mark.parametrize("e_max", [0.0, 0.3, math.inf])
+    def test_cap_at_accumulation_point_solves_nothing(self, monkeypatch, spec, e_max):
+        # levels of a slowly decaying tail pile up at E = 0, so a cap there
+        # holds infinitely many of them
+        def solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(spectrum, "quantize_energy", solve)
+        with pytest.raises(ValueError, match="accumulate"):
+            enumerate_bound_states(parse_potential(spec), e_max, 3, 0)
+
+    def test_cap_below_accumulation_point(self):
+        states = enumerate_bound_states(PowerLaw(b=-1.0, mu=-1.0), -0.1, 3, 1)
+        assert [s.E for s in states] == pytest.approx([-0.5, -0.125, -0.125], rel=1e-8)
