@@ -17,12 +17,24 @@ independence is the point.
 
 The deep-left diagonal ~ 1/(h^2 r^2) stretches the Gershgorin interval of
 the matrix to 1e13-1e65, so bisecting it for an eigenvalue index costs
-180-500 Sturm sweeps.  The search therefore runs in a narrow window: an
-index search on a grid with 8 times fewer intervals gives a seed; the
-Sturm count N(vl) on the full grid at vl = seed - delta certifies that
-the n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta];
-bisection on that window alone takes about 40 sweeps.  A window that
-misses the level is widened, and a count below the Gershgorin floor is 0.
+180-500 Sturm sweeps.  A level therefore runs one such index search, on a
+grid with 8 times fewer intervals than the grid h, and every other
+eigenvalue is found in a narrow window:
+
+- the bracket takes its seed from that coarse grid, and one Sturm count
+  N(e_hi) on the grid h (two sweeps) decides whether the level lies
+  below the window top e_hi;
+- on the grid h, the count N(vl) at vl = seed - delta certifies that the
+  n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta];
+  bisection on that window alone takes about 40 sweeps;
+- on the grid h/2 the window is centred on the h^2 prediction: an error
+  c h^2 puts the seed 63 c h^2 above E_h and E_(h/2) 3/4 c h^2 below it,
+  so a window a few percent of c h^2 wide holds the level.
+
+A window that misses the level is widened, and a count below the
+Gershgorin floor is 0.  The grid h is the window's grid cut at the node
+past which a top just above the seed has decayed by the full margin, so
+a deep level does not carry the long tail of the window top.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ _RHO_FLOOR = -150.0
 _SEED_COARSENING = 8     # the seed grid has this many times fewer intervals
 _SEED_TOL_FACTOR = 1e5   # the seed needs only to land well inside its window
 _WINDOW = 1e-3           # first window half-width, relative to the seed
+_PREDICTED_WINDOW = 0.05  # h/2 window half-width, relative to the h^2 error c h^2
 _MAX_WIDENINGS = 30      # each one 8 times wider: far past any seed's error
 
 
@@ -76,15 +89,10 @@ def _inner_turning_point(p, E, q, rho_m):
 
 
 def _grid(p, level, e_lo, e_hi):
-    """(rho_lo, rho_hi, intervals) of the coarse grid for an energy window.
-
-    psi = 0 at rho_hi: a hard wall, or a point the top of the window
-    reaches only after the full decay margin under the barrier.
-    """
+    """(rho_lo, rho_hi, intervals) of the coarse grid for an energy window."""
     lam = level.lam
     s = analyze_slice(p, e_hi)
     rho_m = math.log(s.r_m)
-    w_scale = max(s.A**2, lam**2)
 
     # left edge: enough e^(lambda rho) suppression, and W negligible; at
     # lambda = 0 psi tends to a constant, so W itself must vanish there.
@@ -95,7 +103,7 @@ def _grid(p, level, e_lo, e_hi):
         margin = max(_DECAY_MARGIN / lam, 12.0)
         rho_in = _inner_turning_point(p, e_hi, lam * lam, rho_m)
         rho_lo = min(rho_m - margin, max(rho_in - margin, _RHO_FLOOR))
-        w_small = 1e-12 * w_scale
+        w_small = 1e-12 * max(s.A**2, lam**2)
     else:
         rho_lo = rho_m - 40.0
         w_small = 1e-13
@@ -106,26 +114,46 @@ def _grid(p, level, e_lo, e_hi):
             break  # psi ~ e^(lambda rho) has decayed past the margin already
         rho_lo -= 5.0
 
-    # right edge: hard wall, or enough WKB suppression past the turning point;
-    # at the continuum threshold with lambda = 0 there is no barrier and the
-    # march stops once W can no longer bend the solution
-    if s.boundary_max:
-        rho_hi = math.log(s.r_t)
-    else:
-        rho_hi = rho_m
-        accumulated = 0.0
-        step = 0.25
-        while accumulated < _DECAY_MARGIN:
-            w_here = float(p.W(e_hi, rho_hi))
-            q_here = lam * lam - w_here
-            if q_here > 0.0:
-                accumulated += math.sqrt(q_here) * step
-            elif lam == 0.0 and abs(w_here) < 1e-12 * w_scale:
-                break
-            rho_hi += step
-            if rho_hi - rho_m > 5e3:
-                raise NoConvergence("outer decay region is unreachably wide")
+    rho_hi = _right_edge(p, level, e_hi, s)
     return rho_lo, rho_hi, max(int(math.ceil((rho_hi - rho_lo) / _STEP)), 64)
+
+
+def _right_edge(p, level, e, s):
+    """Where psi = 0 for energies up to e, whose slice is s: a hard wall, or
+    a point that e reaches only after the full decay margin under the
+    barrier.  At the continuum threshold with lambda = 0 there is no
+    barrier, and the march stops once W can no longer bend the solution."""
+    if s.boundary_max:
+        return math.log(s.r_t)
+    lam = level.lam
+    w_scale = max(s.A**2, lam**2)
+    rho_m = rho_hi = math.log(s.r_m)
+    accumulated = 0.0
+    step = 0.25
+    while accumulated < _DECAY_MARGIN:
+        w_here = float(p.W(e, rho_hi))
+        q_here = lam * lam - w_here
+        if q_here > 0.0:
+            accumulated += math.sqrt(q_here) * step
+        elif lam == 0.0 and abs(w_here) < 1e-12 * w_scale:
+            break
+        rho_hi += step
+        if rho_hi - rho_m > 5e3:
+            raise NoConvergence("outer decay region is unreachably wide")
+    return rho_hi
+
+
+def _level_grid(p, level, grid, e_hi, seed):
+    """The window's grid, cut on one of its nodes past which a top just
+    above the seed has decayed by the full margin: the decay counts from
+    the level, not from e_hi, and every node that is kept stays where it
+    was."""
+    rho_lo, rho_hi, n = grid
+    top = min(e_hi, seed + 0.5 * abs(seed))
+    h = (rho_hi - rho_lo) / n
+    cut = _right_edge(p, level, top, analyze_slice(p, top))
+    m = min(n, max(int(math.ceil((cut - rho_lo) / h)), 64))
+    return rho_lo, rho_lo + m * h, m
 
 
 def _matrix(p, level, rho_lo, rho_hi, intervals):
@@ -149,52 +177,117 @@ def _window(d, off, vl, vu, tol):
     return w[:m]
 
 
-def _grid_eigenvalue(p, level, rho_lo, rho_hi, intervals, tol):
-    """n_r-th eigenvalue of the three-point discretisation on one grid,
-    found in a window around a coarse-grid seed (see the module notes)."""
-    n_r = level.n_r
-    d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // _SEED_COARSENING, 64))
-    seed = float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
-                                  select_range=(n_r, n_r), lapack_driver="stebz",
-                                  tol=_SEED_TOL_FACTOR * tol)[0])
-    d, off = _matrix(p, level, rho_lo, rho_hi, intervals)
-    # Gershgorin lower bound (off < 0), kept clear of rounding
+def _floor(d, off):
+    """Gershgorin lower bound (off < 0), kept clear of rounding."""
     floor = float(np.min(d + np.r_[off, 0.0] + np.r_[0.0, off]))
-    floor -= 1e-9 * abs(floor)
-    delta = _WINDOW * abs(seed) + tol
+    return floor - 1e-9 * abs(floor)
+
+
+def _count(d, off, floor, v):
+    """N(v), the number of eigenvalues <= v, 0 at or below the Gershgorin
+    floor: a tolerance wider than (floor, v] stops dstebz before its first
+    bisection step, so the count costs two Sturm sweeps."""
+    return len(_window(d, off, floor, v, 2.0 * (v - floor))) if v > floor else 0
+
+
+def _seed(p, level, grid, tol):
+    """n_r-th eigenvalue on ``grid`` with 8 times fewer intervals, by an
+    index search over the whole Gershgorin interval."""
+    rho_lo, rho_hi, intervals = grid
+    d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // _SEED_COARSENING, 64))
+    return float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                                  select_range=(level.n_r, level.n_r), lapack_driver="stebz",
+                                  tol=_SEED_TOL_FACTOR * tol)[0])
+
+
+def _windowed_eigenvalue(p, level, grid, centre, delta, tol):
+    """n_r-th eigenvalue on ``grid``, bisected to ``tol`` in the window
+    (centre - delta, centre + delta], which the count N(centre - delta)
+    certifies; a window that misses the level is widened 8-fold."""
+    n_r = level.n_r
+    d, off = _matrix(p, level, *grid)
+    floor = _floor(d, off)
     for _ in range(_MAX_WIDENINGS):
-        vl, vu = seed - delta, seed + delta
-        # N(vl): a tolerance wider than (floor, vl] stops dstebz before its
-        # first bisection step, so the count costs two Sturm sweeps
-        below = len(_window(d, off, floor, vl, 2.0 * (vl - floor))) if vl > floor else 0
+        vl, vu = centre - delta, centre + delta
+        below = _count(d, off, floor, vl)
         w = _window(d, off, vl, vu, tol)
         if 0 <= n_r - below < len(w):
             return float(w[n_r - below])
         delta *= 8.0
-    raise NoConvergence(f"no window around {seed:.10g} holds level n_r = {n_r}")
+    raise NoConvergence(f"no window around {centre:.10g} holds level n_r = {n_r}")
 
 
-def numerov_eigenvalue(p, level, e_bracket):
-    """Eigenvalue of the radial equation inside ``e_bracket``.
-
-    The bracket sets the grid and must contain the requested level.  The
-    n_r-th eigenvalue is found on grids with steps h and h/2 and combined
-    by one Richardson step, (4 E_(h/2) - E_h) / 3.
-    """
-    e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
-    if not e_lo < e_hi:
-        raise BracketMiss("empty energy bracket")
-    rho_lo, rho_hi, n = _grid(p, level, e_lo, e_hi)
+def _refine(p, level, e_lo, e_hi, grid, seed):
+    """Richardson value of the level from the grids h and h/2, given the
+    window's grid and a seed from a grid 8 times coarser: the h window is
+    centred on the seed, and the h/2 window on the h^2 prediction."""
+    grid = _level_grid(p, level, grid, e_hi, seed)
     # the default tolerance scales with the norm of this strongly graded
     # matrix, which dwarfs the level; use an absolute one at the level's scale
     tol = 1e-14 * max(abs(e_lo), abs(e_hi))
-    e_h, e_h2 = (_grid_eigenvalue(p, level, rho_lo, rho_hi, k * n, tol) for k in (1, 2))
+    e_h = _windowed_eigenvalue(p, level, grid, seed, _WINDOW * abs(seed) + tol, tol)
+    # an error c h^2 puts the seed 63 c h^2 above e_h, and e_(h/2) 3/4 c h^2 below it
+    c_h2 = (seed - e_h) / (_SEED_COARSENING**2 - 1)
+    rho_lo, rho_hi, n = grid
+    e_h2 = _windowed_eigenvalue(p, level, (rho_lo, rho_hi, 2 * n), e_h - 0.75 * c_h2,
+                                _PREDICTED_WINDOW * abs(c_h2) + tol, tol)
     e = (4.0 * e_h2 - e_h) / 3.0
     if not e_lo < e < e_hi:
         raise BracketMiss(
             f"level n_r = {level.n_r} lies at {e:.10g}, outside the bracket "
             f"({e_lo:.10g}, {e_hi:.10g})")
     return e
+
+
+def numerov_eigenvalue(p, level, e_bracket):
+    """Eigenvalue of the radial equation inside ``e_bracket``.
+
+    The bracket sets the seed grid and must contain the requested level.
+    The n_r-th eigenvalue is found on grids with steps h and h/2 and
+    combined by one Richardson step, (4 E_(h/2) - E_h) / 3.
+    """
+    e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
+    if not e_lo < e_hi:
+        raise BracketMiss("empty energy bracket")
+    grid = _grid(p, level, e_lo, e_hi)
+    seed = _seed(p, level, grid, 1e-14 * max(abs(e_lo), abs(e_hi)))
+    return _refine(p, level, e_lo, e_hi, grid, seed)
+
+
+def _bracket(p, level):
+    """(e_lo, e_hi, seed): the window of ``bracket_bound_state`` and the
+    seed-grid eigenvalue it was built from."""
+    _, ceiling = p.energy_window()
+
+    def seed_at(e_hi):
+        grid = _grid(p, level, e_hi, e_hi)
+        return grid, _seed(p, level, grid, 1e-14 * abs(e_hi))
+
+    if ceiling is not None:
+        e_hi = ceiling - 1e-9 * p.energy_scale()
+        grid, seed = seed_at(e_hi)
+        # the full grid decides: the seed of a level just under e_hi may
+        # lie on either side of it
+        d, off = _matrix(p, level, *grid)
+        if _count(d, off, _floor(d, off), e_hi) <= level.n_r:
+            if p.levels_accumulate:
+                raise BracketMiss(
+                    f"level n_r = {level.n_r} lies above the window top {e_hi:.3g} "
+                    f"(ceiling - 1e-9 * energy scale): too close to the threshold "
+                    f"for the oracle")
+            raise BracketMiss(f"well holds no level with n_r = {level.n_r} in this channel")
+        e = min(seed, e_hi)
+    else:
+        e_hi = max(4.0 * p.reference_energy(), p.energy_scale())
+        for _ in range(80):
+            _, seed = seed_at(e_hi)
+            if seed < 0.5 * e_hi:
+                break
+            e_hi = 4.0 * seed
+        else:
+            raise BracketMiss("cannot push the upper bracket high enough")
+        e = seed
+    return e - max(e_hi - e, abs(e)), e_hi, seed
 
 
 def bracket_bound_state(p, level):
@@ -206,29 +299,10 @@ def bracket_bound_state(p, level):
     window reaches as far below the level as above it, and at least |E|
     below it, so the refined value stays inside.
     """
-    _, ceiling = p.energy_window()
-
-    def coarse(e_hi):
-        rho_lo, rho_hi, n = _grid(p, level, e_hi, e_hi)
-        return _grid_eigenvalue(p, level, rho_lo, rho_hi, n, 1e-14 * abs(e_hi))
-
-    if ceiling is not None:
-        e_hi = ceiling - 1e-9 * p.energy_scale()
-        e = coarse(e_hi)
-        if e >= e_hi:
-            raise BracketMiss(f"well holds no level with n_r = {level.n_r} in this channel")
-    else:
-        e_hi = max(4.0 * p.reference_energy(), p.energy_scale())
-        for _ in range(80):
-            e = coarse(e_hi)
-            if e < 0.5 * e_hi:
-                break
-            e_hi = 4.0 * e
-        else:
-            raise BracketMiss("cannot push the upper bracket high enough")
-    return e - max(e_hi - e, abs(e)), e_hi
+    return _bracket(p, level)[:2]
 
 
 def solve_bound_state(p, level):
-    """Convenience wrapper: find the energy window, then refine."""
-    return numerov_eigenvalue(p, level, bracket_bound_state(p, level))
+    """Find the energy window, then refine from the seed it was built on."""
+    e_lo, e_hi, seed = _bracket(p, level)
+    return _refine(p, level, e_lo, e_hi, _grid(p, level, e_lo, e_hi), seed)

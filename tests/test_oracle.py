@@ -25,7 +25,14 @@ from teff import (
     solve_bound_state,
 )
 from teff import oracle
-from teff.oracle import _RHO_FLOOR, _grid, _grid_eigenvalue, _matrix
+from teff.oracle import (
+    _RHO_FLOOR,
+    _grid,
+    _level_grid,
+    _matrix,
+    _seed,
+    _windowed_eigenvalue,
+)
 
 
 def _bessel_zero(nu, k):
@@ -154,14 +161,25 @@ class TestBracketing:
             bracket_bound_state(yukawa, QuantumLevel(5, 3, 3))
 
 
+def _refinement_grid(p, lvl):
+    """(grid, tol) of the h step as ``solve_bound_state`` sets them."""
+    e_lo, e_hi, seed = oracle._bracket(p, lvl)
+    grid = _level_grid(p, lvl, _grid(p, lvl, e_lo, e_hi), e_hi, seed)
+    return grid, 1e-14 * max(abs(e_lo), abs(e_hi))
+
+
+def _seeded(p, lvl, grid, tol):
+    """n_r-th eigenvalue on one grid by the seeded window search: a seed
+    from the grid coarsened 8-fold, then windows around it."""
+    seed = _seed(p, lvl, grid, tol)
+    return _windowed_eigenvalue(p, lvl, grid, seed, oracle._WINDOW * abs(seed) + tol, tol)
+
+
 def _grid_energies(p, lvl, refinements):
     """Single-grid n_r-th eigenvalues with 2^k times the default number of
     intervals, for each k in ``refinements``."""
-    e_lo, e_hi = bracket_bound_state(p, lvl)
-    rho_lo, rho_hi, n = _grid(p, lvl, e_lo, e_hi)
-    tol = 1e-14 * max(abs(e_lo), abs(e_hi))
-    return [_grid_eigenvalue(p, lvl, rho_lo, rho_hi, int(n * 2.0**k), tol)
-            for k in refinements]
+    (rho_lo, rho_hi, n), tol = _refinement_grid(p, lvl)
+    return [_seeded(p, lvl, (rho_lo, rho_hi, int(n * 2.0**k)), tol) for k in refinements]
 
 
 def _richardson_drift(p, lvl):
@@ -181,32 +199,33 @@ def _index_search(p, lvl, rho_lo, rho_hi, intervals, tol):
                                   lapack_driver="stebz", tol=tol)[0])
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """Records the (vl, vu) of each dstebz call: a count and a window per
+    window tried, the count skipped below the Gershgorin floor."""
+    calls = []
+    original = oracle._window
+
+    def recorded(*args):
+        calls.append(args[2:4])
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_window", recorded)
+    return calls
+
+
 class TestWindowSearch:
     """The seeded window search against the index search it replaces."""
 
-    @pytest.fixture
-    def windows(self, monkeypatch):
-        """Records the (vl, vu) of each dstebz call: a count and a window
-        per window tried, the count skipped below the Gershgorin floor."""
-        calls = []
-        original = oracle._window
-
-        def recorded(*args):
-            calls.append(args[2:4])
-            return original(*args)
-
-        monkeypatch.setattr(oracle, "_window", recorded)
-        return calls
-
     @staticmethod
     def _grid_of(p, lvl):
-        """(rho_lo, rho_hi, intervals, tol) as ``numerov_eigenvalue`` sets them."""
-        e_lo, e_hi = bracket_bound_state(p, lvl)
-        return (*_grid(p, lvl, e_lo, e_hi), 1e-14 * max(abs(e_lo), abs(e_hi)))
+        """(rho_lo, rho_hi, intervals, tol) as ``solve_bound_state`` sets them."""
+        grid, tol = _refinement_grid(p, lvl)
+        return (*grid, tol)
 
     @staticmethod
     def _agrees(p, lvl, rho_lo, rho_hi, intervals, tol):
-        return abs(_grid_eigenvalue(p, lvl, rho_lo, rho_hi, intervals, tol)
+        return abs(_seeded(p, lvl, (rho_lo, rho_hi, intervals), tol)
                    - _index_search(p, lvl, rho_lo, rho_hi, intervals, tol)) <= 2.0 * tol
 
     @pytest.mark.parametrize("p,lvl", [
@@ -253,6 +272,98 @@ class TestWindowSearch:
         windows.clear()
         assert self._agrees(p, lvl, rho_lo, rho_hi, n, tol)
         assert len(windows) == 1   # no count call, one refining window
+
+
+class TestOneIndexSearch:
+    """A level costs one index search, on the bracket's seed grid: the
+    bracket decides with a Sturm count, the h window is centred on that
+    seed and the h/2 window on the Richardson prediction."""
+
+    @pytest.fixture
+    def index_searches(self, monkeypatch):
+        calls = []
+        original = oracle.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["select_range"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+        return calls
+
+    @pytest.mark.parametrize("spec,lvl", [
+        ("power:b=-1,mu=-1", QuantumLevel(0, 0, 3)),
+        ("screened:kind=exp,Z=50", QuantumLevel(2, 3, 3)),
+    ])
+    def test_threshold_well_searches_once(self, index_searches, spec, lvl):
+        solve_bound_state(parse_potential(spec), lvl)
+        assert index_searches == [(lvl.n_r, lvl.n_r)]
+
+    @pytest.mark.parametrize("p,lvl", [
+        (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(1, 0, 3)),
+        (HardWall(R=1.0), QuantumLevel(2, 1, 3)),
+        (PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)),
+    ], ids=["coulomb", "wall", "mu7.9"])
+    def test_same_as_refining_the_bracket(self, p, lvl):
+        # the hand-off of the bracket's seed changes no value
+        e = numerov_eigenvalue(p, lvl, bracket_bound_state(p, lvl))
+        assert solve_bound_state(p, lvl) == pytest.approx(e, rel=1e-12, abs=0.0)
+
+    def test_missed_h2_window_is_widened(self, monkeypatch, windows):
+        # a zero-width h/2 window around the prediction misses the level;
+        # the widened window still finds the 2n-grid eigenvalue
+        monkeypatch.setattr(oracle, "_PREDICTED_WINDOW", 0.0)
+        found = []
+        original = oracle._windowed_eigenvalue
+
+        def recorded(p, level, grid, centre, delta, tol):
+            start = len(windows)
+            e = original(p, level, grid, centre, delta, tol)
+            found.append((grid, tol, e, len(windows) - start))
+            return e
+
+        monkeypatch.setattr(oracle, "_windowed_eigenvalue", recorded)
+        p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
+        solve_bound_state(p, lvl)
+        (grid, tol, _, _), (grid2, tol2, e_h2, calls) = found
+        assert grid2 == (grid[0], grid[1], 2 * grid[2]) and tol2 == tol
+        assert calls > 2
+        assert abs(e_h2 - _index_search(p, lvl, *grid2, tol)) <= 2.0 * tol
+
+    def test_level_grid_keeps_the_nodes(self):
+        # the cut grid ends at a node of the window's grid, well short of
+        # the window top's decay margin for this deep level
+        p, lvl = parse_potential("power:b=-1,mu=-1"), QuantumLevel(0, 0, 3)
+        e_lo, e_hi, seed = oracle._bracket(p, lvl)
+        rho_lo, rho_hi, n = grid = _grid(p, lvl, e_lo, e_hi)
+        cut_lo, cut_hi, m = _level_grid(p, lvl, grid, e_hi, seed)
+        assert cut_lo == rho_lo and m < 0.9 * n
+        assert cut_hi == pytest.approx(rho_lo + m * (rho_hi - rho_lo) / n, abs=1e-12)
+
+    def test_count_decides_near_threshold(self):
+        # at this strength the l = 1 Yukawa level has just left the n grid's
+        # spectrum, while the coarse seed grid still binds it 2e-6 below
+        # e_hi; the count on the n grid decides
+        lvl, e_hi = QuantumLevel(0, 1, 3), -1e-9
+        p = parse_potential("screened:kind=exp,Z=4.54097")
+        grid = _grid(p, lvl, e_hi, e_hi)
+        assert _seed(p, lvl, grid, 1e-14 * abs(e_hi)) < e_hi
+        assert _index_search(p, lvl, *grid, 1e-14 * abs(e_hi)) >= e_hi
+        with pytest.raises(BracketMiss, match="holds no level"):
+            bracket_bound_state(p, lvl)
+        # slightly deeper, the level lies 1e-7 under e_hi on both grids
+        lo, hi = bracket_bound_state(parse_potential("screened:kind=exp,Z=4.54098"), lvl)
+        assert lo < hi == e_hi
+
+    def test_miss_below_an_accumulating_threshold(self):
+        # this mu < 0 well holds infinitely many levels; the message names
+        # the window top, not a missing level
+        p = parse_potential("power:b=-1,mu=-1.8")
+        with pytest.raises(BracketMiss, match="too close to the threshold") as miss:
+            solve_bound_state(p, QuantumLevel(2, 3, 3))
+        assert "window top -1e-09" in str(miss.value)
+        with pytest.raises(BracketMiss, match="holds no level"):
+            solve_bound_state(parse_potential("screened:kind=exp,Z=1"), QuantumLevel(5, 3, 3))
 
 
 class TestInnerEdge:
