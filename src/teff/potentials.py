@@ -14,6 +14,13 @@ central derived object is
 
 whose single maximum fixes the amplitude A = sqrt(max W) and its
 location r_m.  ``analyze_slice`` packages that geometry for one energy.
+
+``W``, ``V`` and the screenings' ``g`` keep a float a float (the point-wise
+quadratures build no 0-d ndarray) and turn anything else into an ndarray,
+with the same bits: ``+ - * /`` are IEEE-exact either way, and each ``exp``,
+``log`` and ``power`` stays a numpy ufunc, as ``math.exp`` and Python's
+``**`` round differently in a few per cent of inputs (``(1 + r) ** -2``
+ran on a numpy scalar, i.e. libm's pow, which Python's ``**`` calls too).
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ __all__ = [
 ]
 
 
+def _point(x):
+    """A float (a numpy float64 too) as a Python float, else a float ndarray."""
+    return float(x) if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
 # --------------------------------------------------------------------------
 # screening functions g(r) for -Z g(r) / r wells
 # --------------------------------------------------------------------------
@@ -53,7 +65,6 @@ class Screening:
     """Interface for screening profiles: g(0) = 1, g > 0, dg/dr < 0."""
 
     kind = "abstract"
-    interpolated = False
 
     def g(self, r):
         raise NotImplementedError
@@ -76,7 +87,7 @@ class ExponentialScreening(Screening):
     kind = "exp"
 
     def g(self, r):
-        return np.exp(-np.asarray(r, dtype=float))
+        return np.exp(-_point(r))
 
     def dg(self, r):
         return -np.exp(-np.asarray(r, dtype=float))
@@ -96,7 +107,7 @@ class InverseSquareScreening(Screening):
     kind = "inv2"
 
     def g(self, r):
-        return (1.0 + np.asarray(r, dtype=float)) ** -2.0
+        return (1.0 + _point(r)) ** -2.0
 
     def dg(self, r):
         return -2.0 * (1.0 + np.asarray(r, dtype=float)) ** -3.0
@@ -111,54 +122,13 @@ class InversePow25Screening(Screening):
     kind = "inv25"
 
     def g(self, r):
-        return (1.0 + np.asarray(r, dtype=float)) ** -2.5
+        return (1.0 + _point(r)) ** -2.5
 
     def dg(self, r):
         return -2.5 * (1.0 + np.asarray(r, dtype=float)) ** -3.5
 
     def d2g(self, r):
         return 8.75 * (1.0 + np.asarray(r, dtype=float)) ** -4.5
-
-
-class TabulatedScreening(Screening):
-    """Screening profile interpolated from a table of (r, g) samples."""
-
-    kind = "table"
-    interpolated = True
-
-    def __init__(self, r, g):
-        r = np.asarray(r, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if r.ndim != 1 or r.size < 8 or np.any(np.diff(r) <= 0):
-            raise PotentialError("screening table needs >= 8 strictly increasing radii")
-        if np.any(g <= 0) or np.any(np.diff(g) >= 0):
-            raise PotentialError("screening table must be positive and strictly decreasing")
-        self._interp = PchipInterpolator(r, g, extrapolate=False)
-        self.r_min = float(r[0])
-        self.r_max = float(r[-1])
-
-    def _check(self, r):
-        # one-ulp overshoot from exp(log r) round trips is clipped in
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self.r_min * (1.0 - 1e-12)) or np.any(r > self.r_max * (1.0 + 1e-12)):
-            raise PotentialError("radius outside the tabulated screening range")
-        return np.clip(r, self.r_min, self.r_max)
-
-    def g(self, r):
-        return self._interp(self._check(r))
-
-    def dg(self, r):
-        r = self._check(r)
-        h = 1e-5 * np.maximum(r, 1e-12)
-        lo = np.maximum(r - h, self.r_min)
-        hi = np.minimum(r + h, self.r_max)
-        return (self._interp(hi) - self._interp(lo)) / (hi - lo)
-
-    def d2g(self, r):
-        r = self._check(r)
-        h = 1e-4 * np.maximum(r, 1e-12)
-        rc = np.clip(r, self.r_min + h, self.r_max - h)
-        return (self._interp(rc + h) - 2.0 * self._interp(rc) + self._interp(rc - h)) / h**2
 
 
 # --------------------------------------------------------------------------
@@ -174,11 +144,11 @@ _TF_SOLUTION = None
 
 def _tf_series(x, slope):
     """Small-x expansion of the screening function and its derivative."""
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     sx = np.sqrt(x)
-    phi = (1.0 + slope * x + (4.0 / 3.0) * x * sx + 0.4 * slope * x**2 * sx
-           + x**3 / 3.0)
-    dphi = (slope + 2.0 * sx + slope * x * sx + x**2)
+    phi = (1.0 + slope * x + (4.0 / 3.0) * x * sx + 0.4 * slope * np.power(x, 2) * sx
+           + np.power(x, 3) / 3.0)
+    dphi = (slope + 2.0 * sx + slope * x * sx + np.power(x, 2))
     return phi, dphi
 
 
@@ -277,8 +247,38 @@ class _TFSolution:
         # inverse-cube asymptote, anchored continuously at the table edge
         # (the pure 144/x^3 form overshoots by ~1% there)
         self.tail_coeff = math.exp(u[-1]) * self.x_max**3
+        # the spline's arrays (scipy's properties cost ~2 us a read); its
+        # log-radii are uniform up to rounding, so an index guess is near
+        self._ts, self._c = self._logphi.x, self._logphi.c
+        self._t0 = float(ts[0])
+        self._per_step = (ts.size - 1) / float(ts[-1] - ts[0])
+
+    def _logphi_at(self, t):
+        """``self._logphi(t)`` bit for bit at one float t in the table: PPoly's
+        interval (ts[i] <= t < ts[i+1], the last at the right end) and its
+        order of summation."""
+        ts, c = self._ts, self._c
+        last = ts.size - 2
+        i = min(int((t - self._t0) * self._per_step), last)
+        while i > 0 and ts.item(i) > t:
+            i -= 1
+        while i < last and ts.item(i + 1) <= t:
+            i += 1
+        s = t - ts.item(i)
+        res, z = 0.0, 1.0
+        for k in (3, 2, 1, 0):
+            res = res + c.item(k, i) * z
+            z *= s
+        return res
 
     def phi(self, x):
+        if isinstance(x, float):
+            # the three regions below; a NaN falls through to the tail
+            if x < self.x_min:
+                return _tf_series(x, self.slope)[0]
+            if x <= self.x_max:
+                return np.exp(self._logphi_at(float(np.log(x))))
+            return self.tail_coeff / np.power(x, 3)
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         tiny = x < self.x_min
@@ -339,7 +339,7 @@ class ThomasFermiScreening(Screening):
         self.b = 0.5 * (3.0 * math.pi / 4.0) ** (2.0 / 3.0) * Z ** (-1.0 / 3.0)
 
     def g(self, r):
-        return _tf_solution().phi(np.asarray(r, dtype=float) / self.b)
+        return _tf_solution().phi(_point(r) / self.b)
 
     def dg(self, r):
         return _tf_solution().dphi(np.asarray(r, dtype=float) / self.b) / self.b
@@ -396,7 +396,7 @@ class Potential:
 
     def W(self, E, rho):
         """Effective radial function 2 r^2 (E - V(r)) at rho = ln r."""
-        r = np.exp(np.asarray(rho, dtype=float))
+        r = np.exp(_point(rho))
         return 2.0 * r * r * (E - self.V(r))
 
     def asymptotic_value(self):
@@ -430,6 +430,10 @@ class Potential:
         interpolated from a finite table."""
         return 0.0, math.inf
 
+    def boundary_slice(self, E):
+        """The slice at E where W peaks on the boundary; None if inside."""
+        return None
+
     def spec_string(self):
         raise NotImplementedError
 
@@ -453,7 +457,7 @@ class PowerLaw(Potential):
             raise PotentialError(f"b*mu must be > 0 for an attractive well, got b={self.b}, mu={self.mu}")
 
     def V(self, r):
-        return self.b * np.asarray(r, dtype=float) ** self.mu
+        return self.b * np.power(_point(r), self.mu)
 
     def dV(self, r):
         return self.b * self.mu * np.asarray(r, dtype=float) ** (self.mu - 1.0)
@@ -500,7 +504,7 @@ class ScreenedCoulomb(Potential):
             raise PotentialError(f"Z must be > 0, got {self.Z}")
 
     def V(self, r):
-        r = np.asarray(r, dtype=float)
+        r = _point(r)
         return -self.Z * self.screening.g(r) / r
 
     def dV(self, r):
@@ -532,15 +536,6 @@ class ScreenedCoulomb(Potential):
     def default_energy_grid(self):
         return [-self.Z**2 * 0.5 * 2.0 ** (-k) for k in range(18)] + [0.0]
 
-    @property
-    def interpolated(self):
-        return self.screening.interpolated
-
-    def domain(self):
-        if isinstance(self.screening, TabulatedScreening):
-            return self.screening.r_min, self.screening.r_max
-        return 0.0, math.inf
-
     def spec_string(self):
         return f"screened:kind={self.screening.kind},Z={self.Z:g}"
 
@@ -563,8 +558,8 @@ class Quarkonium(Potential):
             raise PotentialError(f"B must be > 0, got {self.B}")
 
     def V(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.B * (-self.alpha / r + (1.0 - self.alpha) * r**self.delta)
+        r = _point(r)
+        return self.B * (-self.alpha / r + (1.0 - self.alpha) * np.power(r, self.delta))
 
     def dV(self, r):
         r = np.asarray(r, dtype=float)
@@ -623,6 +618,13 @@ class HardWall(Potential):
 
     def kappa(self, r):
         raise PotentialError("kappa undefined for a hard wall (V' = 0 inside)")
+
+    def boundary_slice(self, E):
+        if E <= 0:
+            raise NoClassicalRegion("a hard-wall well has no states at E <= 0")
+        a = math.sqrt(2.0 * E) * self.R
+        return EnergySlice(E=E, r_t=self.R, r_m=self.R, A=a,
+                           kappa_at_rm=math.inf, boundary_max=True)
 
     def asymptotic_value(self):
         return math.inf
@@ -883,16 +885,13 @@ def analyze_slice(p, E):
     """Locate the maximum of W and the classical turning point at energy E.
 
     The maximum is bracketed on a log grid and polished by golden-section
-    search; hard walls are handled as boundary maxima.
+    search; a boundary maximum (the hard wall's) comes from the family.
     """
     if math.isnan(E):
         raise ValueError("energy must not be NaN")
-    if isinstance(p, HardWall):
-        if E <= 0:
-            raise NoClassicalRegion("a hard-wall well has no states at E <= 0")
-        a = math.sqrt(2.0 * E) * p.R
-        return EnergySlice(E=E, r_t=p.R, r_m=p.R, A=a,
-                           kappa_at_rm=math.inf, boundary_max=True)
+    s = p.boundary_slice(E)
+    if s is not None:
+        return s
 
     rho, w, i = _locate_maximum(p, E)
     _reject_multiple_maxima(rho, w, i)

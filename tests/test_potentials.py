@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_bvp
 
 from teff import (
@@ -323,25 +325,77 @@ class TestThomasFermi:
             tf_screening(-1.0)
 
 
-class TestTabulatedScreening:
-    def test_matches_analytic_yukawa(self):
-        from teff.potentials import ScreenedCoulomb, TabulatedScreening
+def _w_on_0d(p, E, rho):
+    """W with V evaluated on a 0-d array, so that every family formula runs
+    on numpy arrays and scalars (the reference for the float path)."""
+    r = np.exp(np.asarray(rho, dtype=float))
+    return float(2.0 * r * r * (E - p.V(np.asarray(r))))
 
-        r = np.geomspace(1e-5, 50.0, 4000)
-        tab = ScreenedCoulomb(Z=2.0, screening=TabulatedScreening(r, np.exp(-r)))
-        ana = parse_potential("screened:kind=exp,Z=2")
-        st = analyze_slice(tab, -0.1)
-        sa = analyze_slice(ana, -0.1)
-        assert st.A == pytest.approx(sa.A, rel=1e-6)
-        # kappa needs second differences of the interpolant, which carry
-        # O(knot spacing) error for a C1 monotone fit
-        assert st.kappa_at_rm == pytest.approx(sa.kappa_at_rm, rel=5e-3)
 
-    def test_rejects_bad_tables(self):
-        from teff.potentials import TabulatedScreening
+def _nonzero_mu():
+    return st.floats(-1.9, 8.0).filter(lambda mu: abs(mu) > 1e-3)
 
-        with pytest.raises(PotentialError):
-            TabulatedScreening([1, 2, 3], [1.0, 0.5, 0.2])  # too few points
-        r = np.linspace(0.1, 5.0, 10)
-        with pytest.raises(PotentialError):
-            TabulatedScreening(r, np.linspace(0.1, 1.0, 10))  # increasing g
+
+_POINT_WELLS = st.one_of(
+    st.builds(lambda mu, b: PowerLaw(b=math.copysign(b, mu), mu=mu), _nonzero_mu(),
+              st.floats(0.1, 5.0)),
+    st.builds(lambda kind, Z: parse_potential(f"screened:kind={kind},Z={Z!r}"),
+              st.sampled_from(["exp", "inv2", "inv25", "tf"]), st.floats(0.5, 60.0)),
+    st.builds(Quarkonium, st.floats(0.05, 0.95), st.floats(0.2, 3.0), st.floats(0.5, 5.0)),
+    st.builds(HardWall, st.floats(0.5, 3.0)),
+)
+
+
+_POINT_SPECS = ["power:b=1,mu=1.5", "power:b=-1,mu=-1", "screened:kind=exp,Z=50",
+                "screened:kind=inv2,Z=1", "screened:kind=inv25,Z=1", "screened:kind=tf,Z=50",
+                "quark:alpha=0.5,delta=1,B=3", "wall:R=1"]
+
+
+class TestPointEvaluation:
+    """A float argument takes no detour through 0-d arrays, and gives the
+    same bits as the array path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=_POINT_WELLS, E=st.floats(-50.0, 50.0), rho=st.floats(-20.0, 20.0))
+    def test_float_path_is_bit_identical(self, p, E, rho):
+        # V on its own too: in W, E - V can absorb a last-bit difference of V
+        r = float(np.exp(rho))
+        assert p.V(r) == float(p.V(np.asarray(r)))
+        w = p.W(E, float(rho))
+        assert w == float(p.W(E, np.asarray(rho)))
+        assert w == _w_on_0d(p, E, rho)
+
+    @pytest.mark.parametrize("spec", _POINT_SPECS)
+    def test_float_path_sweep(self, spec):
+        # a dense sweep where W is far from 0 and V neither over- nor underflows
+        p = parse_potential(spec)
+        rho = np.random.default_rng(3).uniform(-8.0, 8.0, 1500).tolist()
+        assert [p.W(-0.5, x) for x in rho] == [_w_on_0d(p, -0.5, x) for x in rho]
+
+    @pytest.mark.parametrize("spec", _POINT_SPECS)
+    def test_float_gives_no_ndarray(self, spec):
+        p = parse_potential(spec)
+        assert not isinstance(p.W(-0.5, 0.3), np.ndarray)
+        assert not isinstance(p.V(0.3), np.ndarray)
+
+    def test_tf_scalar_branch_matches_array_path(self):
+        # the series (x < 1e-6), the spline table and the x^-3 tail (x > 1e4),
+        # with both ends of the table itself
+        sol = potentials._tf_solution()
+        rng = np.random.default_rng(7)
+        edges = [0.0, 1e-300]
+        for end in (sol.x_min, sol.x_max):
+            edges += [math.nextafter(end, 0.0), end, math.nextafter(end, math.inf)]
+        x = np.concatenate((edges, 10.0 ** rng.uniform(-12.0, -6.0, 2000),
+                            10.0 ** rng.uniform(-6.0, 4.0, 2000), 10.0 ** rng.uniform(4.0, 9.0, 2000)))
+        points = [sol.phi(v) for v in x.tolist()]
+        assert not any(isinstance(v, np.ndarray) for v in points)
+        assert points == sol.phi(x).tolist()
+        assert [sol.phi(np.asarray(v)) for v in edges] == points[:len(edges)]
+
+    def test_tf_table_region_matches_spline(self):
+        sol = potentials._tf_solution()
+        ts = sol._logphi.x
+        rng = np.random.default_rng(11)
+        t = np.concatenate((ts[:50], ts[-50:], rng.uniform(ts[0], ts[-1], 5000)))
+        assert [sol._logphi_at(float(v)) for v in t] == sol._logphi(t).tolist()
