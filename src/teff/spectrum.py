@@ -3,10 +3,11 @@ quantization condition.
 
 The condition reads A(E) chi_1(E) = T, whose left side is the d = 1
 state count N_1(E), a strictly increasing function of E.  The slope phi
-inside T depends on E for screened and mixed wells, so the solve is an
-outer damped fixed point on phi wrapped around an inner bracketed root
-solve in E.  For pure power laws and the hard wall phi is E-independent
-and the outer loop collapses to a single pass.
+inside T = nu + phi lambda depends on E for screened and mixed wells, so
+each level is one bracketed root of F(E) = N_1(E) - nu - phi(E) lambda,
+with N_1 and phi taken from the same slice at every probe.  For pure
+power laws and the hard wall phi is E-independent, and at lambda = 0 it
+drops out, so there T is a constant.
 """
 
 from __future__ import annotations
@@ -84,17 +85,18 @@ def _expand(f, x, factor, sign, what, origin=0.0, tries=200):
     raise NoConvergence(f"cannot bracket {what}")
 
 
-def _solve_inner(n1, T, p):
-    """Bracketed solve of N_1(E) = T on the family's energy window."""
+def _solve_inner(n1, target, p, xtol=2e-12):
+    """Bracketed root of F(E) = N_1(E) - target(E) on the family's energy
+    window, to ``xtol`` + 1e-13 |E|; a threshold ceiling needs F >= 0."""
     floor, ceiling = p.energy_window()
-    f = lambda E: n1(E) - T
+    f = lambda E: n1(E) - target(E)
 
     if floor is not None and ceiling is not None:
         # wells that end at the continuum threshold: capacity check at the top
-        f_top = f(ceiling)
-        if f_top < 0:
+        n_top, t_top = n1(ceiling), target(ceiling)
+        if n_top < t_top:
             raise NoBoundState(
-                f"T = {T:g} exceeds the well capacity N1(0) = {f_top + T:g}")
+                f"T = {t_top:g} exceeds the well capacity N1({ceiling:g}) = {n_top:g}")
         lo = _expand(f, floor, 8.0, -1, "below the deepest level", tries=60)
         hi = ceiling
     elif ceiling is not None:
@@ -113,7 +115,7 @@ def _solve_inner(n1, T, p):
                      origin=floor)
         lo = _expand(f, floor + (hi - floor) * 0.5, 0.25, -1, "near the well bottom",
                      origin=floor)
-    return brentq(f, lo, hi, rtol=1e-13, maxiter=200)
+    return brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200)
 
 
 _DAMPING = 0.5
@@ -124,54 +126,43 @@ _OUTER_MAX = 50
 def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
     """Invert the quantization condition for one level.
 
-    ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda; ``"nonlinear"``
-    replaces the right side with the Mellin form built from
-    (chi_1, chi_inf, A) at the current energy iterate.
+    ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda as one bracketed
+    root of F(E) = N_1(E) - nu - phi(E) lambda, phi taken on the slice N_1
+    analyses at each probe.  T is a constant where phi drops out (lambda =
+    0) or is exact at the reference energy (``p.scale_free``).  Near a
+    threshold phi rises with E and F need not be monotone: F(ceiling) < 0
+    means no level (``NoBoundState``), even if F has a pair of roots below
+    it; otherwise the root is the one brentq reaches between the deepest
+    probe with F < 0 and the ceiling (the only one there in 96 screened
+    wells sampled with l <= 4).
+
+    ``"nonlinear"`` replaces the right side with the Mellin form built from
+    (chi_1, chi_inf, A) at the current energy iterate, a fixed point on T
+    seeded from the linear root.
     """
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
     n1 = _n1 if _n1 is not None else _CountingN1(p, cfg)
     nu, lam = level.nu, level.lam
-    phi_independent = p.scale_free or lam == 0.0
+    phi_at = lambda E: phi_additive(p, E, level.d, cfg, _slice=n1.slice(E))
 
-    e_ref = p.reference_energy()
-    phi = phi_additive(p, e_ref, level.d, cfg, _slice=n1.slice(e_ref))
-    iterations = 0
-    E = None
-    if phi_independent:
-        # power laws and the hard wall have an E-independent slope, and
-        # lam = 0 decouples T from the slope entirely
-        iterations = 1
-        E = _solve_inner(n1, nu + phi * lam, p)
-        if lam == 0.0:
-            phi = phi_additive(p, E, level.d, cfg, _slice=n1.slice(E))
+    if lam == 0.0:
+        E = _solve_inner(n1, lambda E: nu, p)
+        phi = phi_at(E)
+    elif p.scale_free:
+        phi = phi_at(p.reference_energy())
+        T = nu + phi * lam
+        E = _solve_inner(n1, lambda E: T, p)
     else:
-        # fixed point on phi; plain 0.5-damped iteration contracts too
-        # slowly for near-threshold levels (the feedback is positive), so
-        # a secant step on the residual takes over once two iterates exist
-        phi_prev = r_prev = None
-        for iterations in range(1, _OUTER_MAX + 1):
-            E = _solve_inner(n1, nu + phi * lam, p)
-            r = phi_additive(p, E, level.d, cfg, _slice=n1.slice(E)) - phi
-            if abs(r) <= _OUTER_TOL * max(1.0, abs(phi)):
-                break
-            step = _DAMPING * r
-            if phi_prev is not None and r != r_prev:
-                secant = -r * (phi - phi_prev) / (r - r_prev)
-                if abs(secant) <= 0.25 * max(1.0, abs(phi)):
-                    step = secant
-            phi_prev, r_prev = phi, r
-            phi += step
-        else:
-            raise NoConvergence(
-                f"phi fixed point did not settle for level {level}; last phi = {phi:g}")
+        # N_1 changes over every decade of ceiling - E, so only a relative
+        # tolerance keeps the residual small for a level right at a threshold
+        E = _solve_inner(n1, lambda E: nu + phi_at(E) * lam, p, xtol=1e-300)
+        phi = phi_at(E)
 
     if mode == "linear":
         T = nu + phi * lam
-        residual = abs(n1(E) - T)
         return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
-                             mode=mode, phi=phi, iterations=iterations,
-                             residual=residual)
+                             mode=mode, phi=phi, iterations=1, residual=abs(n1(E) - T))
 
     # non-linear mode: seed from the linear solution, then fixed point on T
     T = None
@@ -184,18 +175,17 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
             T = t_here
         else:
             T = T + _DAMPING * (t_here - T)
-        E_new = _solve_inner(n1, T, p)
+        E_new = _solve_inner(n1, lambda E: T, p)
         if abs(t_here - T) <= _OUTER_TOL * max(1.0, abs(T)) and \
                 abs(E_new - E) <= 1e-10 * max(1.0, abs(E)):
             E = E_new
-            iterations += it
             break
         E = E_new
     else:
         raise NoConvergence(f"non-linear quantization did not settle for {level}")
     residual = abs(n1(E) - T)
     return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
-                         mode="nonlinear", phi=None, iterations=iterations,
+                         mode="nonlinear", phi=None, iterations=1 + it,
                          residual=residual)
 
 

@@ -76,6 +76,37 @@ class TestChiTable:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+_YUKAWA50_ENUMERATION = ["spectrum", "--potential", "screened:kind=exp,Z=50", "--enumerate",
+                         "--emax", "-0.05", "--lmax", "4"]
+# its rows as the phi fixed-point solver printed them, without the
+# iterations column (that solver's outer passes)
+_YUKAWA50_ROWS = """
+0,0,3,1.0000,-1200.6499,linear,1.0001,0.0000
+1,0,3,2.0006,-265.2029,linear,1.0011,0.0000
+0,1,3,2.0017,-264.8562,linear,1.0011,0.0000
+2,0,3,3.0026,-94.8247,linear,1.0053,0.0000
+1,1,3,3.0080,-94.3539,linear,1.0053,0.0000
+0,2,3,3.0134,-93.8793,linear,1.0053,0.0000
+3,0,3,4.0078,-38.1912,linear,1.0156,0.0000
+2,1,3,4.0237,-37.6492,linear,1.0158,0.0000
+1,2,3,4.0401,-37.0982,linear,1.0160,0.0000
+0,3,3,4.0570,-36.5380,linear,1.0163,0.0000
+4,0,3,5.0180,-14.8175,linear,1.0360,0.0000
+3,1,3,5.0556,-14.2692,linear,1.0371,0.0000
+2,2,3,5.0954,-13.7060,linear,1.0382,0.0000
+1,3,3,5.1379,-13.1261,linear,1.0394,0.0000
+0,4,3,5.1833,-12.5277,linear,1.0407,0.0000
+5,0,3,6.0368,-4.6676,linear,1.0736,0.0000
+4,1,3,6.1165,-4.1937,linear,1.0776,0.0000
+3,2,3,6.2059,-3.7026,linear,1.0824,0.0000
+2,3,3,6.3083,-3.1904,linear,1.0881,0.0000
+1,4,3,6.4290,-2.6512,linear,1.0953,0.0000
+6,0,3,7.0728,-0.7477,linear,1.1456,0.0000
+5,1,3,7.2456,-0.4634,linear,1.1637,0.0000
+4,2,3,7.4841,-0.1943,linear,1.1936,0.0000
+"""
+
+
 class TestSpectrum:
     def test_levels(self, runner):
         result = runner.invoke(cli, ["spectrum", "--potential", "power:b=-1,mu=-1",
@@ -94,6 +125,22 @@ class TestSpectrum:
         rows = json.loads(result.output)["rows"]
         energies = [r["E"] for r in rows]
         assert energies == sorted(energies)
+
+    def test_yukawa_enumeration_golden(self, runner):
+        result = runner.invoke(cli, _YUKAWA50_ENUMERATION)
+        assert result.exit_code == 0
+        lines = result.output.strip().splitlines()
+        header, *rows = csv.reader(io.StringIO("\n".join(lines[1:])))
+        at = header.index("iterations")
+        assert all(row[at] == "1" for row in rows)
+        assert [row[:at] + row[at + 1:] for row in rows] == [
+            row.split(",") for row in _YUKAWA50_ROWS.split()]
+
+    def test_yukawa_enumeration_work(self, runner, slice_counts):
+        # one bracketed root per level analyses 322 energies; the phi fixed
+        # point around repeated root solves analysed 1775
+        assert runner.invoke(cli, _YUKAWA50_ENUMERATION).exit_code == 0
+        assert len(slice_counts) <= 400
 
     def test_enumerate_needs_emax(self, runner):
         result = runner.invoke(cli, ["spectrum", "--potential", "wall:R=1",

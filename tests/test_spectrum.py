@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ai_zeros
 
 from teff import spectrum
@@ -13,7 +15,10 @@ from teff import (
     parse_potential,
     power_law_scaling_check,
     quantize_energy,
+    solve_bound_state,
 )
+from teff.quadrature import action_I
+from teff.transforms import phi_additive
 
 
 class TestReferenceExactness:
@@ -228,3 +233,90 @@ class TestSharedSlices:
     def test_cap_below_accumulation_point(self):
         states = enumerate_bound_states(PowerLaw(b=-1.0, mu=-1.0), -0.1, 3, 1)
         assert [s.E for s in states] == pytest.approx([-0.5, -0.125, -0.125], rel=1e-8)
+
+
+# Energies of the phi fixed-point solver that preceded the one-root solve.
+# Levels with a constant T (scale-free wells, lambda = 0) keep every bit:
+# the Coulomb n = 4 quartet straddles the rounding tie at -1/32 = -0.03125
+# that the 4-decimal output shows.
+_SAME_BITS = [
+    ("power:b=-1,mu=-1", 3, 0, 3, -0.031249999999999986),
+    ("power:b=-1,mu=-1", 2, 1, 3, -0.031250000000000014),
+    ("power:b=-1,mu=-1", 1, 2, 3, -0.031250000000000014),
+    ("power:b=-1,mu=-1", 0, 3, 3, -0.03125000000000003),
+    ("power:b=1,mu=1", 0, 0, 3, 1.8769800423942424),
+    ("power:b=1,mu=1", 1, 2, 3, 4.493550035520814),
+    ("power:b=1,mu=1", 2, 1, 2, 4.681821366468122),
+    ("power:b=0.5,mu=2", 0, 0, 3, 1.5),
+    ("power:b=0.5,mu=2", 2, 3, 3, 8.500000000000002),
+    ("power:b=0.5,mu=2", 1, 1, 2, 4.0),
+    ("screened:kind=exp,Z=10", 0, 0, 2, -190.18495648614842),
+    ("screened:kind=exp,Z=10", 2, 0, 2, -1.612869787947605),
+]
+# levels whose T depends on E move only within the old fixed point's tolerance
+_SAME_LEVEL = [
+    ("screened:kind=exp,Z=50", 1, 1, 3, -94.35389196990198),
+    ("screened:kind=exp,Z=50", 2, 3, 3, -3.1904268577188724),
+    ("screened:kind=inv25,Z=30", 0, 1, 3, -54.716725386017956),
+    ("screened:kind=tf,Z=30", 1, 1, 3, -2.8022531163478583),
+    ("quark:alpha=0.5,delta=1,B=3", 0, 3, 3, 4.591008434119401),
+    ("quark:alpha=0.5,delta=1,B=3", 2, 1, 3, 5.504617523655067),
+]
+
+_SCREENED = st.builds(lambda kind, Z: parse_potential(f"screened:kind={kind},Z={Z:.6g}"),
+                      st.sampled_from(["exp", "inv2", "inv25", "tf"]),
+                      st.floats(1.0, 60.0))
+_QUARK = st.builds(lambda a, delta, B: parse_potential(
+                       f"quark:alpha={a:.6g},delta={delta:.6g},B={B:.6g}"),
+                   st.floats(0.1, 0.9), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
+
+
+class TestOneRootPerLevel:
+    """Linear mode solves N_1(E) = nu + phi(E) lambda as one bracketed root."""
+
+    @pytest.mark.parametrize("spec,n_r,l,d,E", _SAME_BITS)
+    def test_constant_t_levels_keep_their_bits(self, spec, n_r, l, d, E):
+        assert quantize_energy(parse_potential(spec), QuantumLevel(n_r, l, d)).E == E
+
+    @pytest.mark.parametrize("spec,n_r,l,d,E", _SAME_LEVEL)
+    def test_phi_dependent_levels_stay(self, spec, n_r, l, d, E):
+        entry = quantize_energy(parse_potential(spec), QuantumLevel(n_r, l, d))
+        assert entry.E == pytest.approx(E, rel=1e-8)
+        assert entry.iterations == 1
+
+    @pytest.mark.parametrize("spec,l,e_root", [("screened:kind=inv2,Z=29.6", 3, -0.798692),
+                                               ("screened:kind=inv25,Z=40", 3, -1.536829)])
+    def test_opening_channel_is_not_empty(self, spec, l, e_root):
+        # phi at the threshold, the largest of the well, once failed the
+        # capacity check of the first level of a channel that just opens
+        p = parse_potential(spec)
+        lvl = QuantumLevel(0, l, 3)
+        assert quantize_energy(p, lvl).E == pytest.approx(e_root, abs=1e-6)
+        assert solve_bound_state(p, lvl) < 0.0  # the oracle has the level too
+
+    def test_capacity_message_quotes_the_comparison(self):
+        # F(0) < 0 although F has a pair of roots below 0; the oracle finds
+        # no level either
+        p = parse_potential("screened:kind=inv25,Z=20")
+        lvl = QuantumLevel(0, 2, 3)
+        with pytest.raises(NoBoundState) as info:
+            quantize_energy(p, lvl)
+        t_top = lvl.nu + phi_additive(p, 0.0, 3) * lvl.lam
+        n_top = action_I(p, 0.0, 0.0)
+        assert n_top < t_top
+        assert str(info.value) == f"T = {t_top:g} exceeds the well capacity N1(0) = {n_top:g}"
+
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.one_of(_SCREENED, _QUARK), d=st.integers(2, 4), n_r=st.integers(0, 3),
+           l=st.integers(1, 4))
+    @example(p=parse_potential("screened:kind=inv2,Z=45.2"), d=3, n_r=0, l=4)
+    @example(p=parse_potential("screened:kind=inv2,Z=45.2"), d=3, n_r=8, l=0)
+    def test_t_is_self_consistent(self, p, d, n_r, l):
+        # (8, 0) has its root 3e-16 below the threshold
+        lvl = QuantumLevel(n_r, l, d)
+        try:
+            entry = quantize_energy(p, lvl)
+        except NoBoundState:
+            return
+        assert entry.T == lvl.nu + phi_additive(p, entry.E, d) * lvl.lam
+        assert entry.residual <= 1e-9 * max(1.0, entry.T)
