@@ -16,14 +16,17 @@ h^2 error.  None of this shares code with the quadrature pipeline;
 independence is the point.
 
 The deep-left diagonal ~ 1/(h^2 r^2) stretches the Gershgorin interval of
-the matrix to 1e13-1e65, so bisecting it for an eigenvalue index costs
-180-500 Sturm sweeps.  A level therefore runs one such index search, on a
-grid with 8 times fewer intervals than the grid h, and every other
-eigenvalue is found in a narrow window:
+the matrix to 1e12-1e65, so bisecting it for an eigenvalue index costs
+70-250 Sturm sweeps even to 1e-9 of the well's energy scale.  A level
+therefore runs one such index search, on a grid with 64 times fewer
+intervals than the grid h, and finds every other eigenvalue in a narrow
+window:
 
-- the bracket takes its seed from that coarse grid, and one Sturm count
-  N(e_hi) on the grid h (two sweeps) decides whether the level lies
-  below the window top e_hi;
+- on the seed grid, with 8 times fewer intervals than the grid h, a window
+  around that value gives the seed to 1e-9 of itself; the window is 64
+  times the grid h's, as the h^2 error is;
+- the bracket takes that seed, and one Sturm count N(e_hi) on the grid h
+  (two sweeps) decides whether the level lies below the window top e_hi;
 - on the grid h, the count N(vl) at vl = seed - delta certifies that the
   n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta];
   bisection on that window alone takes about 40 sweeps;
@@ -32,9 +35,18 @@ eigenvalue is found in a narrow window:
   so a window a few percent of c h^2 wide holds the level.
 
 A window that misses the level is widened, and a count below the
-Gershgorin floor is 0.  The grid h is the window's grid cut at the node
-past which a top just above the seed has decayed by the full margin, so
-a deep level does not carry the long tail of the window top.
+Gershgorin floor is 0.
+
+The step of the grid h is exactly ``_STEP`` = 2^-9.  The left edge sits
+on a multiple of it, so every node is an exact binary fraction, and the
+right edge absorbs the rest of the span; at a hard wall psi = 0 on the
+wall, and the left edge absorbs it instead.  At lambda = 0 the level
+keeps its weight on the deep-left rows, where a step that is not a binary
+fraction moves it by up to 2e-8 as the grid's length changes (Coulomb,
+d = 2).  Each edge sits where psi has decayed by
+``_DECAY_MARGIN``, past double precision.  The grid h is the window's grid
+cut at the node past which a top just above the seed has decayed that
+much, so a deep level does not carry the long tail of the window top.
 """
 
 from __future__ import annotations
@@ -55,13 +67,17 @@ __all__ = [
     "solve_bound_state",
 ]
 
-_STEP = 1.0 / 512.0      # coarse rho spacing; the fine grid halves it
-_DECAY_MARGIN = 35.0     # e-folds of decay between the level and a grid edge
+_STEP = 1.0 / 512.0      # rho spacing of the grid h, exactly; h/2 halves it
+# e-folds of decay between the level and a grid edge.  Cutting psi off where
+# it has decayed by e^(-M) moves the eigenvalue by about e^(-2M) of itself,
+# the share of the norm lost past the edge; e^(-2M) <= 2^-53, the unit
+# roundoff of double precision, gives M = 53 ln(2) / 2 = 18.4
+_DECAY_MARGIN = 26.5 * math.log(2.0)
 # deepest left edge: off-diagonal entries ~ 1/(h^2 r^2) must stay far below
 # sqrt(float max), which LAPACK squares, and so must its pivot floor
 _RHO_FLOOR = -150.0
 _SEED_COARSENING = 8     # the seed grid has this many times fewer intervals
-_SEED_TOL_FACTOR = 1e5   # the seed needs only to land well inside its window
+_SEED_TOL = 1e-9         # relative: a seed needs only to land well inside its window
 _WINDOW = 1e-3           # first window half-width, relative to the seed
 _PREDICTED_WINDOW = 0.05  # h/2 window half-width, relative to the h^2 error c h^2
 _MAX_WIDENINGS = 30      # each one 8 times wider: far past any seed's error
@@ -89,7 +105,10 @@ def _inner_turning_point(p, E, q, rho_m):
 
 
 def _grid(p, level, e_lo, e_hi):
-    """(rho_lo, rho_hi, intervals) of the coarse grid for an energy window."""
+    """(rho_lo, rho_hi, intervals) of the grid h for an energy window: the
+    step is exactly ``_STEP``, and the right edge absorbs the rest of the
+    span, the left one sitting on a multiple of ``_STEP``; at a hard wall
+    the left edge absorbs it."""
     lam = level.lam
     s = analyze_slice(p, e_hi)
     rho_m = math.log(s.r_m)
@@ -115,7 +134,12 @@ def _grid(p, level, e_lo, e_hi):
         rho_lo -= 5.0
 
     rho_hi = _right_edge(p, level, e_hi, s)
-    return rho_lo, rho_hi, max(int(math.ceil((rho_hi - rho_lo) / _STEP)), 64)
+    if not s.boundary_max:
+        rho_lo = math.floor(rho_lo / _STEP) * _STEP
+    n = max(int(math.ceil((rho_hi - rho_lo) / _STEP)), 64)
+    if s.boundary_max:
+        return rho_hi - n * _STEP, rho_hi, n
+    return rho_lo, rho_lo + n * _STEP, n
 
 
 def _right_edge(p, level, e, s):
@@ -147,13 +171,14 @@ def _level_grid(p, level, grid, e_hi, seed):
     """The window's grid, cut on one of its nodes past which a top just
     above the seed has decayed by the full margin: the decay counts from
     the level, not from e_hi, and every node that is kept stays where it
-    was."""
-    rho_lo, rho_hi, n = grid
+    was.  A top at e_hi keeps the whole grid, which was built for e_hi."""
     top = min(e_hi, seed + 0.5 * abs(seed))
-    h = (rho_hi - rho_lo) / n
+    if top >= e_hi:
+        return grid
+    rho_lo, _, n = grid
     cut = _right_edge(p, level, top, analyze_slice(p, top))
-    m = min(n, max(int(math.ceil((cut - rho_lo) / h)), 64))
-    return rho_lo, rho_lo + m * h, m
+    m = max(int(math.ceil((cut - rho_lo) / _STEP)), 64)
+    return grid if m >= n else (rho_lo, rho_lo + m * _STEP, m)
 
 
 def _matrix(p, level, rho_lo, rho_hi, intervals):
@@ -190,14 +215,21 @@ def _count(d, off, floor, v):
     return len(_window(d, off, floor, v, 2.0 * (v - floor))) if v > floor else 0
 
 
-def _seed(p, level, grid, tol):
-    """n_r-th eigenvalue on ``grid`` with 8 times fewer intervals, by an
-    index search over the whole Gershgorin interval."""
+def _seed(p, level, grid):
+    """n_r-th eigenvalue on ``grid`` with 8 times fewer intervals, to
+    ``_SEED_TOL`` of itself.  The one index search over the whole
+    Gershgorin interval runs on the grid 64 times coarser, whose h^2 error
+    is 64 times the seed grid's, and a window that much wider around its
+    value finds the seed."""
     rho_lo, rho_hi, intervals = grid
-    d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // _SEED_COARSENING, 64))
-    return float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
-                                  select_range=(level.n_r, level.n_r), lapack_driver="stebz",
-                                  tol=_SEED_TOL_FACTOR * tol)[0])
+    k = _SEED_COARSENING
+    d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // (k * k), 64))
+    rough = float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                                   select_range=(level.n_r, level.n_r), lapack_driver="stebz",
+                                   tol=_SEED_TOL * p.energy_scale())[0])
+    tol = _SEED_TOL * (abs(rough) or p.energy_scale())
+    return _windowed_eigenvalue(p, level, (rho_lo, rho_hi, max(intervals // k, 64)), rough,
+                                k * k * _WINDOW * abs(rough) + tol, tol)
 
 
 def _windowed_eigenvalue(p, level, grid, centre, delta, tol):
@@ -250,18 +282,17 @@ def numerov_eigenvalue(p, level, e_bracket):
     if not e_lo < e_hi:
         raise BracketMiss("empty energy bracket")
     grid = _grid(p, level, e_lo, e_hi)
-    seed = _seed(p, level, grid, 1e-14 * max(abs(e_lo), abs(e_hi)))
-    return _refine(p, level, e_lo, e_hi, grid, seed)
+    return _refine(p, level, e_lo, e_hi, grid, _seed(p, level, grid))
 
 
 def _bracket(p, level):
-    """(e_lo, e_hi, seed): the window of ``bracket_bound_state`` and the
-    seed-grid eigenvalue it was built from."""
+    """(e_lo, e_hi, seed, grid): the window of ``bracket_bound_state``, the
+    seed-grid eigenvalue it was built from, and the grid h built for e_hi."""
     _, ceiling = p.energy_window()
 
     def seed_at(e_hi):
         grid = _grid(p, level, e_hi, e_hi)
-        return grid, _seed(p, level, grid, 1e-14 * abs(e_hi))
+        return grid, _seed(p, level, grid)
 
     if ceiling is not None:
         e_hi = ceiling - 1e-9 * p.energy_scale()
@@ -280,14 +311,14 @@ def _bracket(p, level):
     else:
         e_hi = max(4.0 * p.reference_energy(), p.energy_scale())
         for _ in range(80):
-            _, seed = seed_at(e_hi)
+            grid, seed = seed_at(e_hi)
             if seed < 0.5 * e_hi:
                 break
             e_hi = 4.0 * seed
         else:
             raise BracketMiss("cannot push the upper bracket high enough")
         e = seed
-    return e - max(e_hi - e, abs(e)), e_hi, seed
+    return e - max(e_hi - e, abs(e)), e_hi, seed, grid
 
 
 def bracket_bound_state(p, level):
@@ -303,6 +334,7 @@ def bracket_bound_state(p, level):
 
 
 def solve_bound_state(p, level):
-    """Find the energy window, then refine from the seed it was built on."""
-    e_lo, e_hi, seed = _bracket(p, level)
-    return _refine(p, level, e_lo, e_hi, _grid(p, level, e_lo, e_hi), seed)
+    """Find the energy window, then refine on the grid and from the seed it
+    was built on."""
+    e_lo, e_hi, seed, grid = _bracket(p, level)
+    return _refine(p, level, e_lo, e_hi, grid, seed)

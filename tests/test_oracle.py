@@ -163,16 +163,24 @@ class TestBracketing:
 
 def _refinement_grid(p, lvl):
     """(grid, tol) of the h step as ``solve_bound_state`` sets them."""
-    e_lo, e_hi, seed = oracle._bracket(p, lvl)
-    grid = _level_grid(p, lvl, _grid(p, lvl, e_lo, e_hi), e_hi, seed)
-    return grid, 1e-14 * max(abs(e_lo), abs(e_hi))
+    e_lo, e_hi, seed, grid = oracle._bracket(p, lvl)
+    return _level_grid(p, lvl, grid, e_hi, seed), 1e-14 * max(abs(e_lo), abs(e_hi))
 
 
 def _seeded(p, lvl, grid, tol):
     """n_r-th eigenvalue on one grid by the seeded window search: a seed
     from the grid coarsened 8-fold, then windows around it."""
-    seed = _seed(p, lvl, grid, tol)
+    seed = _seed(p, lvl, grid)
     return _windowed_eigenvalue(p, lvl, grid, seed, oracle._WINDOW * abs(seed) + tol, tol)
+
+
+def _richardson(p, lvl, grid, tol):
+    """Richardson value of the level from ``grid`` and its halving."""
+    rho_lo, rho_hi, n = grid
+    e_h = _seeded(p, lvl, grid, tol)
+    e_h2 = _windowed_eigenvalue(p, lvl, (rho_lo, rho_hi, 2 * n), e_h,
+                                oracle._WINDOW * abs(e_h) + tol, tol)
+    return (4.0 * e_h2 - e_h) / 3.0
 
 
 def _grid_energies(p, lvl, refinements):
@@ -201,16 +209,30 @@ def _index_search(p, lvl, rho_lo, rho_hi, intervals, tol):
 
 @pytest.fixture
 def windows(monkeypatch):
-    """Records the (vl, vu) of each dstebz call: a count and a window per
-    window tried, the count skipped below the Gershgorin floor."""
+    """Records the (intervals, vl, vu, tol) of each dstebz call: a count and
+    a window per window tried, the count skipped below the Gershgorin floor."""
     calls = []
     original = oracle._window
 
-    def recorded(*args):
-        calls.append(args[2:4])
-        return original(*args)
+    def recorded(d, off, vl, vu, tol):
+        calls.append((len(d), vl, vu, tol))
+        return original(d, off, vl, vu, tol)
 
     monkeypatch.setattr(oracle, "_window", recorded)
+    return calls
+
+
+@pytest.fixture
+def index_searches(monkeypatch):
+    """Records the (select_range, intervals, tol) of each index search."""
+    calls = []
+    original = oracle.eigh_tridiagonal
+
+    def counted(d, *args, **kwargs):
+        calls.append((kwargs["select_range"], len(d), kwargs["tol"]))
+        return original(d, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
     return calls
 
 
@@ -261,43 +283,59 @@ class TestWindowSearch:
         assert self._agrees(p, lvl, *grid)
         assert len(windows) > 2
 
-    def test_window_below_gershgorin_floor(self, monkeypatch, windows):
+    def test_window_below_gershgorin_floor(self, monkeypatch, windows, index_searches):
         # at lambda > 1 the Gershgorin floor is positive; a window reaching
-        # ten times the level below the seed ends below it, where the count is 0
+        # ten times the level below its centre ends below it, where the
+        # count is 0.  The one index search runs on the grid coarsened
+        # 64-fold; the seed grid and the grid h each take one window, no count
         p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
         rho_lo, rho_hi, n, tol = self._grid_of(p, lvl)
-        d, off = _matrix(p, lvl, rho_lo, rho_hi, n)
-        assert 0.0 < np.min(d + np.r_[off, 0.0] + np.r_[0.0, off]) < 5.4
+        for k in (1, 8):
+            d, off = _matrix(p, lvl, rho_lo, rho_hi, n // k)
+            assert 0.0 < np.min(d + np.r_[off, 0.0] + np.r_[0.0, off]) < 5.4
         monkeypatch.setattr(oracle, "_WINDOW", 10.0)
         windows.clear()
+        index_searches.clear()
         assert self._agrees(p, lvl, rho_lo, rho_hi, n, tol)
-        assert len(windows) == 1   # no count call, one refining window
+        assert n // 64 >= 64
+        assert [size for _, size, _ in index_searches] == [n // 64]
+        assert [size for size, *_ in windows] == [n // 8, n]
 
 
 class TestOneIndexSearch:
-    """A level costs one index search, on the bracket's seed grid: the
-    bracket decides with a Sturm count, the h window is centred on that
-    seed and the h/2 window on the Richardson prediction."""
-
-    @pytest.fixture
-    def index_searches(self, monkeypatch):
-        calls = []
-        original = oracle.eigh_tridiagonal
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["select_range"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
-        return calls
+    """A level costs one index search, on the bracket's grid coarsened
+    64-fold; a window around its value gives the seed on the grid
+    coarsened 8-fold.  The bracket decides with a Sturm count, the h
+    window is centred on the seed and the h/2 window on the Richardson
+    prediction."""
 
     @pytest.mark.parametrize("spec,lvl", [
         ("power:b=-1,mu=-1", QuantumLevel(0, 0, 3)),
         ("screened:kind=exp,Z=50", QuantumLevel(2, 3, 3)),
     ])
     def test_threshold_well_searches_once(self, index_searches, spec, lvl):
-        solve_bound_state(parse_potential(spec), lvl)
-        assert index_searches == [(lvl.n_r, lvl.n_r)]
+        p = parse_potential(spec)
+        _, _, _, (_, _, n) = oracle._bracket(p, lvl)
+        index_searches.clear()
+        solve_bound_state(p, lvl)
+        assert [(r, size) for r, size, _ in index_searches] == [((lvl.n_r, lvl.n_r), n // 64)]
+
+    @pytest.mark.parametrize("Z", [1.0, 10.0])
+    def test_seed_tolerance_follows_the_level(self, index_searches, windows, Z):
+        # below a threshold the window top lies 1e-9 under it, so a seed
+        # tolerance taken relative to the window top would bisect the seed
+        # to ~1e-23; both seed grids are bisected to ~1e-9 of the level
+        p, lvl, e = PowerLaw(b=-Z, mu=-1.0), QuantumLevel(0, 0, 3), -0.5 * Z * Z
+        _, e_hi, _, (_, _, n) = oracle._bracket(p, lvl)
+        assert abs(e_hi) < 1e-8 * abs(e)
+        index_searches.clear()
+        windows.clear()
+        solve_bound_state(p, lvl)
+        # a count's tolerance spans its whole window, so it bisects nothing
+        seed_tols = [tol for _, _, tol in index_searches] + \
+                    [tol for size, vl, vu, tol in windows if size == n // 8 and tol < vu - vl]
+        assert len(seed_tols) >= 2
+        assert all(1e-10 * abs(e) <= tol <= 1e-8 * abs(e) for tol in seed_tols)
 
     @pytest.mark.parametrize("p,lvl", [
         (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(1, 0, 3)),
@@ -309,10 +347,15 @@ class TestOneIndexSearch:
         e = numerov_eigenvalue(p, lvl, bracket_bound_state(p, lvl))
         assert solve_bound_state(p, lvl) == pytest.approx(e, rel=1e-12, abs=0.0)
 
-    def test_missed_h2_window_is_widened(self, monkeypatch, windows):
+    def test_missed_h2_window_is_widened(self, monkeypatch, windows, index_searches):
         # a zero-width h/2 window around the prediction misses the level;
-        # the widened window still finds the 2n-grid eigenvalue
+        # the widened window still finds the 2n-grid eigenvalue.  The level
+        # runs one index search, on the bracket's grid coarsened 64-fold,
+        # and three window searches: on that grid coarsened 8-fold, on the
+        # grid h and on the grid h/2
         monkeypatch.setattr(oracle, "_PREDICTED_WINDOW", 0.0)
+        p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
+        _, _, _, (rho_lo, rho_hi, n) = oracle._bracket(p, lvl)
         found = []
         original = oracle._windowed_eigenvalue
 
@@ -323,22 +366,27 @@ class TestOneIndexSearch:
             return e
 
         monkeypatch.setattr(oracle, "_windowed_eigenvalue", recorded)
-        p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
+        index_searches.clear()
         solve_bound_state(p, lvl)
-        (grid, tol, _, _), (grid2, tol2, e_h2, calls) = found
+        assert [size for _, size, _ in index_searches] == [n // 64]
+        (seed_grid, _, _, _), (grid, tol, _, _), (grid2, tol2, e_h2, calls) = found
+        assert seed_grid == (rho_lo, rho_hi, n // 8)
+        assert grid[0] == rho_lo and grid[2] <= n
         assert grid2 == (grid[0], grid[1], 2 * grid[2]) and tol2 == tol
         assert calls > 2
         assert abs(e_h2 - _index_search(p, lvl, *grid2, tol)) <= 2.0 * tol
 
     def test_level_grid_keeps_the_nodes(self):
         # the cut grid ends at a node of the window's grid, well short of
-        # the window top's decay margin for this deep level
+        # the window top's decay margin for this deep level; every node is
+        # a multiple of the step
         p, lvl = parse_potential("power:b=-1,mu=-1"), QuantumLevel(0, 0, 3)
-        e_lo, e_hi, seed = oracle._bracket(p, lvl)
-        rho_lo, rho_hi, n = grid = _grid(p, lvl, e_lo, e_hi)
+        _, e_hi, seed, grid = oracle._bracket(p, lvl)
+        rho_lo, rho_hi, n = grid
         cut_lo, cut_hi, m = _level_grid(p, lvl, grid, e_hi, seed)
         assert cut_lo == rho_lo and m < 0.9 * n
-        assert cut_hi == pytest.approx(rho_lo + m * (rho_hi - rho_lo) / n, abs=1e-12)
+        assert rho_lo / oracle._STEP == int(rho_lo / oracle._STEP)
+        assert rho_hi == rho_lo + n * oracle._STEP and cut_hi == rho_lo + m * oracle._STEP
 
     def test_count_decides_near_threshold(self):
         # at this strength the l = 1 Yukawa level has just left the n grid's
@@ -347,7 +395,7 @@ class TestOneIndexSearch:
         lvl, e_hi = QuantumLevel(0, 1, 3), -1e-9
         p = parse_potential("screened:kind=exp,Z=4.54097")
         grid = _grid(p, lvl, e_hi, e_hi)
-        assert _seed(p, lvl, grid, 1e-14 * abs(e_hi)) < e_hi
+        assert _seed(p, lvl, grid) < e_hi
         assert _index_search(p, lvl, *grid, 1e-14 * abs(e_hi)) >= e_hi
         with pytest.raises(BracketMiss, match="holds no level"):
             bracket_bound_state(p, lvl)
@@ -422,6 +470,43 @@ class TestConvergence:
         assert _richardson_drift(p, QuantumLevel(1, 0, 3)) < 1e-9
 
 
+_EDGE_CASES = [
+    (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(0, 0, 2)),   # lambda = 0
+    (parse_potential("screened:kind=exp,Z=5"), QuantumLevel(2, 0, 2)),
+    (PowerLaw(b=-1.0, mu=-1.0), QuantumLevel(1, 1, 3)),
+    (HardWall(R=1.0), QuantumLevel(2, 1, 3)),
+]
+_EDGE_IDS = ["coulomb-2d-s", "yukawa-2d-s", "coulomb-p", "wall"]
+
+
+class TestGridEdges:
+    """The step is exactly ``_STEP``, so a grid's length moves only its free
+    edge, and the edges sit where psi has decayed past double precision."""
+
+    @pytest.mark.parametrize("p,lvl", _EDGE_CASES, ids=_EDGE_IDS)
+    def test_free_edge_moves_no_value(self, p, lvl):
+        # psi = 0 sits on a hard wall, so there the left edge is the free one
+        (rho_lo, rho_hi, n), tol = _refinement_grid(p, lvl)
+        e = _richardson(p, lvl, (rho_lo, rho_hi, n), tol)
+        for k in (1, 5, 29):
+            if isinstance(p, HardWall):
+                grid = (rho_lo - k * oracle._STEP, rho_hi, n + k)
+            else:
+                grid = (rho_lo, rho_hi + k * oracle._STEP, n + k)
+            assert _richardson(p, lvl, grid, tol) == pytest.approx(e, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p,lvl", _EDGE_CASES + [
+        (PowerLaw(b=0.5, mu=2.0), QuantumLevel(2, 1, 3)),
+        (parse_potential("screened:kind=tf,Z=20"), QuantumLevel(1, 1, 3)),
+    ], ids=_EDGE_IDS + ["oscillator", "thomas-fermi"])
+    def test_wider_margin_moves_no_value(self, monkeypatch, p, lvl):
+        # cut where psi has decayed by e^-M, a level moves by about e^-2M of
+        # itself, below 2^-53 at the margin used; 35 e-folds give the same
+        e = solve_bound_state(p, lvl)
+        monkeypatch.setattr(oracle, "_DECAY_MARGIN", 35.0)
+        assert solve_bound_state(p, lvl) == pytest.approx(e, rel=1e-12, abs=0.0)
+
+
 class _Rescaled(Potential):
     """c V(sqrt(c) r): the same well with every energy multiplied by c."""
 
@@ -477,6 +562,15 @@ class TestProperties:
         lvl = QuantumLevel(n_r, l, d)
         assert solve_bound_state(PowerLaw(b=-Z, mu=-1.0), lvl) == \
             pytest.approx(exact_reference_spectrum("coulomb", Z, lvl), rel=1e-8)
+
+    @settings(max_examples=15, deadline=None)
+    @given(Z=st.floats(0.5, 5.0), n_r=_N_R)
+    def test_coulomb_2d_s_closed_form(self, Z, n_r):
+        # lambda = 0: psi keeps its weight on the deep-left rows, where a
+        # step that is not a binary fraction moves the level by up to 2e-8
+        lvl = QuantumLevel(n_r, 0, 2)
+        assert solve_bound_state(PowerLaw(b=-Z, mu=-1.0), lvl) == \
+            pytest.approx(exact_reference_spectrum("coulomb", Z, lvl), rel=1e-9)
 
     @settings(max_examples=15, deadline=None)
     @given(b=st.floats(0.2, 3.0), d=_D, n_r=_N_R, l=_L)
