@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -105,6 +106,41 @@ _YUKAWA50_ROWS = """
 5,1,3,7.2456,-0.4634,linear,1.1637,0.0000
 4,2,3,7.4841,-0.1943,linear,1.1936,0.0000
 """
+
+
+_TABLE1_CSV = """\
+# teff chi-table; numeric values rounded to 4 decimal places
+potential,energy,chi_inf,chi_3,chi_2,chi_1,phi_3,phi_2,phi_m3
+"screened:kind=exp,Z=1",E=0,1.4142,1.3764,1.3591,1.3155,1.2851,1.2718,1.2861
+"screened:kind=inv2,Z=1",E=0,2.0000,2.0000,2.0000,2.0000,2.0000,2.0000,2.0000
+"screened:kind=inv25,Z=1",E=0,1.8257,1.8031,1.7930,1.7691,1.7521,1.7451,1.7523
+"screened:kind=tf,Z=1",E=0,1.9377,1.8770,1.8506,1.7874,1.7425,1.7241,1.7442
+"power:b=-1,mu=-1",any E,1.0000,1.0000,1.0000,1.0000,1.0000,1.0000,1.0000
+"power:b=1,mu=0.001",any E,0.7069,0.6880,0.6794,0.6576,0.6424,0.6358,0.6429
+"power:b=1,mu=1",any E,0.5774,0.5671,0.5625,0.5513,0.5435,0.5402,0.5436
+"power:b=1,mu=2",any E,0.5000,0.5000,0.5000,0.5000,0.5000,0.5000,0.5000
+"power:b=1,mu=3",any E,0.4472,0.4566,0.4605,0.4692,0.4755,0.4779,0.4757
+wall:R=1,any E,0.0001,0.2122,0.2500,0.3183,0.3714,0.3866,0.3898
+"""
+# the README diagram command; its 353-line CSV is pinned by its sha256
+_README_DIAGRAM = ["diagram", "--potential", "screened:kind=exp,Z=50",
+                   "--potential", "quark:alpha=0.5,delta=1,B=3", "--phi-max", "2.2"]
+_README_DIAGRAM_SHA256 = "3f300efb0abea10bb146a2b4d676acc791f031912d6104900c0026225a86bf01"
+
+
+class TestGoldenOutput:
+    """Byte pins on the CSV of the two documented table and diagram runs."""
+
+    def test_table1_csv(self, runner):
+        result = runner.invoke(cli, ["chi-table", "--suite", "table1"])
+        assert result.exit_code == 0
+        assert result.stdout == _TABLE1_CSV
+
+    def test_readme_diagram_csv(self, runner):
+        result = runner.invoke(cli, _README_DIAGRAM)
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 353
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == _README_DIAGRAM_SHA256
 
 
 class TestSpectrum:
