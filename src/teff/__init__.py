@@ -55,8 +55,6 @@ from .potentials import (
     tf_screening,
 )
 from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
     action_I,
     bound_count_N,
     moment_M,

@@ -57,23 +57,6 @@ _FORMAT_OPT = click.option("--format", "fmt", type=click.Choice(["csv", "json"])
                            default="csv", show_default=True, help="Output format.")
 _OUTPUT_OPT = click.option("--output", "-o", type=click.Path(dir_okay=False),
                            default=None, help="Output path (default: stdout).")
-_REL_TOL_OPT = click.option("--rel-tol", type=float, default=None,
-                            help="Override the quadrature relative tolerance.")
-_TAIL_CUT_OPT = click.option("--tail-cut", type=float, default=None,
-                             help="Override the tail truncation threshold.")
-
-
-def _quad_config(rel_tol, tail_cut):
-    from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-
-    if rel_tol is None and tail_cut is None:
-        return DEFAULT_CONFIG
-    try:
-        return QuadratureConfig(
-            rel_tol=rel_tol if rel_tol is not None else DEFAULT_CONFIG.rel_tol,
-            tail_cut=tail_cut if tail_cut is not None else DEFAULT_CONFIG.tail_cut)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
 
 
 @click.group()
@@ -102,13 +85,10 @@ _TABLE1_ROWS = (
               help="Energy for the row(s); defaults to a family-natural value.")
 @click.option("--suite", type=click.Choice(["table1"]), default=None,
               help="Emit the canonical 10-row table instead of custom rows.")
-@_REL_TOL_OPT
-@_TAIL_CUT_OPT
 @_FORMAT_OPT
 @_OUTPUT_OPT
-def cmd_chi_table(specs, energy, suite, rel_tol, tail_cut, fmt, output):
+def cmd_chi_table(specs, energy, suite, fmt, output):
     """Transform values and slope estimators, one row per (potential, E)."""
-    cfg = _quad_config(rel_tol, tail_cut)
     if suite == "table1":
         jobs = list(_TABLE1_ROWS)
     else:
@@ -127,7 +107,7 @@ def cmd_chi_table(specs, energy, suite, rel_tol, tail_cut, fmt, output):
     failures = 0
     for spec, label, e in jobs:
         try:
-            prof = chi_profile(parse_potential(spec), e, ds=(2, 3), cfg=cfg)
+            prof = chi_profile(parse_potential(spec), e, ds=(2, 3))
         except TeffError as exc:
             failures += 1
             click.echo(f"# row failed for {spec} at {label}: {exc}", err=True)
@@ -180,23 +160,19 @@ def _parse_levels(text, dim):
 @click.option("--d", "dim", type=int, default=3, show_default=True)
 @click.option("--mode", type=click.Choice(["linear", "nonlinear"]), default="linear",
               show_default=True)
-@_REL_TOL_OPT
-@_TAIL_CUT_OPT
 @_FORMAT_OPT
 @_OUTPUT_OPT
-def cmd_spectrum(spec, levels, do_enum, emax, lmax, dim, mode, rel_tol, tail_cut,
-                 fmt, output):
+def cmd_spectrum(spec, levels, do_enum, emax, lmax, dim, mode, fmt, output):
     """Approximate bound-state energies from the quantization condition."""
-    cfg = _quad_config(rel_tol, tail_cut)
     p = parse_potential(spec)
     if do_enum:
         if emax is None:
             raise click.UsageError("--enumerate requires --emax")
-        entries = enumerate_bound_states(p, emax, dim, lmax, mode=mode, cfg=cfg)
+        entries = enumerate_bound_states(p, emax, dim, lmax, mode=mode)
     else:
         if not levels:
             raise click.UsageError("provide --levels or --enumerate")
-        entries = [quantize_energy(p, lvl, mode=mode, cfg=cfg)
+        entries = [quantize_energy(p, lvl, mode=mode)
                    for lvl in _parse_levels(levels, dim)]
     columns = ("n_r", "l", "d", "T", "E", "mode", "phi", "iterations", "residual")
     rows = [{"n_r": e.n_r, "l": e.l, "d": e.d, "T": e.T, "E": e.E, "mode": e.mode,

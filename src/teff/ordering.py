@@ -16,8 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import LambdaTooSmall, TeffError
-from .potentials import analyze_slice
-from .quadrature import DEFAULT_CONFIG
+from .potentials import analyze_slice, slice_cache
 from .transforms import chi_d, phi_additive
 
 __all__ = [
@@ -204,7 +203,7 @@ class OrderingSignReport:
     checks: tuple
 
 
-def ordering_theorem_signs(p, E_probe, cfg=DEFAULT_CONFIG):
+def ordering_theorem_signs(p, E_probe):
     """Sign checks linking the convexity index to the T-ordering at d = 3.
 
     Identity one compares sgn(kappa + 1) with sgn(1 - phi); identity two
@@ -213,7 +212,7 @@ def ordering_theorem_signs(p, E_probe, cfg=DEFAULT_CONFIG):
     r < r_t; a mixed sign there makes the identity not applicable.
     """
     s = analyze_slice(p, E_probe)
-    phi = phi_additive(p, E_probe, 3, cfg, _slice=s)
+    phi = phi_additive(p, E_probe, 3, _slice=s)
     r_t = s.r_t if math.isfinite(s.r_t) else 1e3 * s.r_m
     radii = np.geomspace(1e-3 * r_t, r_t, 256)
     kappas = np.asarray([float(p.kappa(r)) for r in radii])
@@ -336,19 +335,15 @@ class DiagramData:
     crossings: tuple
 
 
-def _curve_point(p, E, d, cfg, slices):
-    """(phi, A chi_1) at E; ``slices`` maps each energy of the curve seen
-    so far to its slice, so no energy is analysed or integrated twice."""
-    s = slices.get(E)
-    if s is None:
-        s = slices[E] = analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, cfg, _slice=s)
-    phi = phi_additive(p, E, d, cfg, _slice=s)
+def _curve_point(p, E, d, slice_at):
+    """(phi, A chi_1) at E, on the curve's cached slice there."""
+    s = slice_at(E)
+    c1 = chi_d(p, E, 1.0, _slice=s)
+    phi = phi_additive(p, E, d, _slice=s)
     return phi, c1 * s.A
 
 
-def diagram_data(levels, phi_range, curve_specs, d=3, cfg=DEFAULT_CONFIG,
-                 phi_samples=11):
+def diagram_data(levels, phi_range, curve_specs, d=3, phi_samples=11):
     """Assemble the universal diagram.
 
     ``curve_specs`` is a sequence of (potential, energy grid) pairs; bad
@@ -371,10 +366,10 @@ def diagram_data(levels, phi_range, curve_specs, d=3, cfg=DEFAULT_CONFIG,
         label = p.spec_string()
         pts = []
         notes = []
-        slices = {}
+        slice_at = slice_cache(p)
         for E in e_grid:
             try:
-                phi, t_val = _curve_point(p, E, d, cfg, slices)
+                phi, t_val = _curve_point(p, E, d, slice_at)
             except TeffError as exc:
                 notes.append(f"E={E:g} skipped: {exc}")
                 continue
@@ -389,9 +384,9 @@ def diagram_data(levels, phi_range, curve_specs, d=3, cfg=DEFAULT_CONFIG,
                 if g0 == 0.0 or g0 * g1 >= 0.0:
                     continue
                 func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
-                    _curve_point(p, E, d, cfg, slices))
+                    _curve_point(p, E, d, slice_at))
                 e_star = brentq(func, min(e0, e1), max(e0, e1), rtol=1e-10, maxiter=200)
-                phi_star, t_star = _curve_point(p, e_star, d, cfg, slices)
+                phi_star, t_star = _curve_point(p, e_star, d, slice_at)
                 crossings.append(DiagramCrossing(
                     line_label=spectroscopic_label(lvl.n_r, lvl.l, d),
                     curve_label=label, phi=phi_star, t_value=t_star, E=float(e_star)))

@@ -46,6 +46,7 @@ __all__ = [
     "EnergySlice",
     "parse_potential",
     "analyze_slice",
+    "slice_cache",
     "tf_screening",
     "tf_initial_slope",
 ]
@@ -792,7 +793,7 @@ class EnergySlice:
     A: float
     kappa_at_rm: float
     boundary_max: bool = False
-    # reduced moments integrated on this slice, keyed by (d, cfg); see
+    # reduced moments integrated on this slice, keyed by d; see
     # quadrature.reduced_moment
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -930,3 +931,17 @@ def analyze_slice(p, E):
     r_m = math.exp(rho_m)
     r_t = _turning_point_of_v(p, E, r_m)
     return EnergySlice(E=E, r_t=r_t, r_m=r_m, A=a, kappa_at_rm=float(p.kappa(r_m)))
+
+
+def slice_cache(p):
+    """``slice_at(E)``: the slice of p at E, analysed once per exact float,
+    so an energy a solve or a curve visits again keeps its moments."""
+    slices = {}
+
+    def slice_at(E):
+        s = slices.get(E)
+        if s is None:
+            s = slices[E] = analyze_slice(p, E)
+        return s
+
+    return slice_at

@@ -11,14 +11,14 @@ Turning-point integrals are mapped onto a cosine variable so the square
 root vanishing at the endpoints becomes analytic before adaptive
 Gauss-Kronrod quadrature is applied.  The W > 0 domain always extends to
 rho -> -infinity (and to +infinity at the continuum threshold of decaying
-tails); those ends are truncated where W falls below ``tail_cut * A^2``
+tails); those ends are truncated where W falls below ``_TAIL_CUT * A^2``
 and closed with an exponential tail fitted to the last decade of W.
+Every integral runs at the fixed relative accuracy ``_REL_TOL``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -28,8 +28,6 @@ from .errors import Divergent, NoClassicalRegion
 from .potentials import analyze_slice
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_CONFIG",
     "action_I",
     "moment_M",
     "reduced_moment",
@@ -38,32 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the W-integrals.
-
-    ``tail_cut`` truncates the integration domain where W drops below
-    ``tail_cut * A^2``; the remainder is estimated analytically.
-    """
-
-    rel_tol: float = 1e-9
-    tail_cut: float = 1e-12
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if not 0.0 < self.tail_cut <= 1e-6:
-            raise ValueError("tail_cut must lie in (0, 1e-6]")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-
+_REL_TOL = 1e-9  # relative accuracy of every W-integral
+_TAIL_CUT = 1e-12  # W / A^2 below which a tail is closed analytically
 _MARCH_LIMIT = 600.0  # furthest distance (in rho) we chase a decaying tail
 _MAX_SUBDIVISIONS = 200
 
 
-def _quad(f, a, b, cfg):
-    val, _ = quad(f, a, b, epsabs=0.0, epsrel=0.1 * cfg.rel_tol,
+def _quad(f, a, b):
+    val, _ = quad(f, a, b, epsabs=0.0, epsrel=0.1 * _REL_TOL,
                   limit=_MAX_SUBDIVISIONS)
     return val
 
@@ -124,7 +104,7 @@ def _classify_right(w, rho_m, cut_value, rho_ceil=None):
         lo, w_lo = hi, w_hi
         step = min(2.0 * step, 64.0)
         if lo - rho_m > _MARCH_LIMIT:
-            raise Divergent("right flank of W fails to decay below the tail cut")
+            raise Divergent("right flank of W fails to decay below the truncation level")
 
 
 def _fitted_tail(w, rho_cut, w_cut, a2, d, side):
@@ -151,28 +131,27 @@ def _fitted_tail(w, rho_cut, w_cut, a2, d, side):
     return (w_cut / a2) ** (0.5 * d) * 2.0 / (d * alpha)
 
 
-def reduced_moment(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
+def reduced_moment(p, E, d, _slice=None):
     """M_d / A^d: the moment of W normalised by its maximum.
 
-    Computed once at ``tail_cut`` and once at ``tail_cut / 10`` whenever a
-    truncated tail entered; failure of the two to agree raises
-    ``Divergent``.  Each (d, cfg) is integrated once per slice: a slice
-    passed in again returns the value stored on it.
+    Computed once at ``_TAIL_CUT`` and once at ``_TAIL_CUT / 10`` whenever
+    a truncated tail entered; failure of the two to agree raises
+    ``Divergent``.  Each d is integrated once per slice: a slice passed in
+    again returns the value stored on it.
     """
     if d < 1.0:
         raise ValueError("moment order d must be >= 1")
     s = _slice if _slice is not None else analyze_slice(p, E)
-    key = (d, cfg)
-    if key not in s._moments:
-        s._moments[key] = _reduced_moment_refined(p, E, d, cfg, s)
-    return s._moments[key]
+    if d not in s._moments:
+        s._moments[d] = _reduced_moment_refined(p, E, d, s)
+    return s._moments[d]
 
 
-def _reduced_moment_refined(p, E, d, cfg, s):
-    first, truncated = _reduced_moment_parts(p, E, d, cfg, s, cfg.tail_cut)
+def _reduced_moment_refined(p, E, d, s):
+    first, truncated = _reduced_moment_parts(p, E, d, s, _TAIL_CUT)
     if not truncated:
         return first
-    second, _ = _reduced_moment_parts(p, E, d, cfg, s, cfg.tail_cut / 10.0)
+    second, _ = _reduced_moment_parts(p, E, d, s, _TAIL_CUT / 10.0)
     if abs(second - first) > 1e-6 * max(abs(first), abs(second)):
         raise Divergent(
             f"moment estimate does not stabilise under tail refinement "
@@ -180,12 +159,12 @@ def _reduced_moment_refined(p, E, d, cfg, s):
     return second
 
 
-def _reduced_moment_parts(p, E, d, cfg, s, tail_cut):
-    """(value, had_truncated_tail) for one tail-cut setting."""
+def _reduced_moment_parts(p, E, d, s, cut):
+    """(value, had_truncated_tail) with tails closed below W = cut * A^2."""
     w = _w_func(p, E)
     a2 = s.A * s.A
     rho_m = math.log(s.r_m)
-    cut_value = tail_cut * a2
+    cut_value = cut * a2
 
     r_lo, r_hi = p.domain()
     floor = math.log(r_lo) if r_lo > 0.0 else None
@@ -196,11 +175,11 @@ def _reduced_moment_parts(p, E, d, cfg, s, tail_cut):
         return (val / a2) ** (0.5 * d) if val > 0.0 else 0.0
 
     rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
-    total = _quad(g, rho_a, rho_m, cfg)
+    total = _quad(g, rho_a, rho_m)
     total += _fitted_tail(w, rho_a, w(rho_a), a2, d, side="left")
 
     if s.boundary_max:
-        total += _quad(g, rho_m, math.log(s.r_t), cfg)
+        total += _quad(g, rho_m, math.log(s.r_t))
         return total, clamped
 
     kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
@@ -208,25 +187,25 @@ def _reduced_moment_parts(p, E, d, cfg, s, tail_cut):
         half = 0.5 * (rho_b - rho_m)
         mid = 0.5 * (rho_b + rho_m)
         total += _quad(lambda th: g(mid + half * math.cos(th)) * half * math.sin(th),
-                       0.0, math.pi, cfg)
+                       0.0, math.pi)
         return total, clamped
-    total += _quad(g, rho_m, rho_b, cfg)
+    total += _quad(g, rho_m, rho_b)
     total += _fitted_tail(w, rho_b, w(rho_b), a2, d, side="right")
     return total, True
 
 
-def moment_M(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
+def moment_M(p, E, d, _slice=None):
     """M_d(E) = integral of W^(d/2) over the W > 0 region (d may be real)."""
     s = _slice if _slice is not None else analyze_slice(p, E)
-    return reduced_moment(p, E, d, cfg, _slice=s) * s.A**d
+    return reduced_moment(p, E, d, _slice=s) * s.A**d
 
 
-def bound_count_N(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
+def bound_count_N(p, E, d, _slice=None):
     """Phase-space estimate of the number of bound states below E in d dimensions."""
     if d < 2:
         raise ValueError("bound-state estimate requires d >= 2")
     coeff = beta_fn(1.5, 0.5 * (d - 1.0)) / (math.pi * math.gamma(d - 1.0))
-    return coeff * moment_M(p, E, d, cfg, _slice=_slice)
+    return coeff * moment_M(p, E, d, _slice=_slice)
 
 
 def _turning_points(p, E, lam2, s, w):
@@ -255,7 +234,7 @@ def _turning_points(p, E, lam2, s, w):
             raise Divergent("no outer root of W = lambda^2 within reach")
 
 
-def action_I(p, E, lam, cfg=DEFAULT_CONFIG, _slice=None):
+def action_I(p, E, lam, _slice=None):
     """Radial action (1/pi) integral sqrt(W - lam^2) drho between turning points.
 
     ``lam = 0`` reduces to the d = 1 moment over pi, which handles the
@@ -265,7 +244,7 @@ def action_I(p, E, lam, cfg=DEFAULT_CONFIG, _slice=None):
         raise ValueError("lam must be >= 0")
     s = _slice if _slice is not None else analyze_slice(p, E)
     if lam == 0.0:
-        return reduced_moment(p, E, 1.0, cfg, _slice=s) * s.A / math.pi
+        return reduced_moment(p, E, 1.0, _slice=s) * s.A / math.pi
     lam2 = lam * lam
     a2 = s.A * s.A
     if lam2 >= a2:
@@ -282,11 +261,11 @@ def action_I(p, E, lam, cfg=DEFAULT_CONFIG, _slice=None):
         val = w(mid + half * math.cos(theta)) - lam2
         return math.sqrt(val) * half * math.sin(theta) if val > 0.0 else 0.0
 
-    return _quad(integrand, 0.0, math.pi, cfg) / math.pi
+    return _quad(integrand, 0.0, math.pi) / math.pi
 
 
-def nonlinearity_residual(p, E, lam, phi, cfg=DEFAULT_CONFIG, _slice=None):
+def nonlinearity_residual(p, E, lam, phi, _slice=None):
     """q(E, lam) = I(E, 0) - I(E, lam) - phi*lam, the defect of the linear form."""
     s = _slice if _slice is not None else analyze_slice(p, E)
-    n1 = action_I(p, E, 0.0, cfg, _slice=s)
-    return n1 - action_I(p, E, lam, cfg, _slice=s) - phi * lam
+    n1 = action_I(p, E, 0.0, _slice=s)
+    return n1 - action_I(p, E, lam, _slice=s) - phi * lam

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import NoBoundState, NoConvergence
 from .ordering import QuantumLevel, teff_nonlinear
-from .potentials import PowerLaw, analyze_slice
-from .quadrature import DEFAULT_CONFIG, action_I
+from .potentials import PowerLaw, slice_cache
+from .quadrature import action_I
 from .transforms import chi_d, chi_infinity, phi_additive
 
 __all__ = [
@@ -49,32 +49,6 @@ class SpectrumEntry:
     residual: float
 
 
-class _CountingN1:
-    """N_1(E) = A(E) chi_1(E) with an evaluation counter.
-
-    Keeps the slice of every energy it has seen, so an energy that the
-    solve visits again (bracket probes, the root, the slope there) is
-    analysed once and each moment on it integrated once.  Lookups use the
-    exact float, so a hit returns what a fresh analysis would.
-    """
-
-    def __init__(self, p, cfg):
-        self.p = p
-        self.cfg = cfg
-        self.calls = 0
-        self._slices = {}
-
-    def slice(self, E):
-        s = self._slices.get(E)
-        if s is None:
-            s = self._slices[E] = analyze_slice(self.p, E)
-        return s
-
-    def __call__(self, E):
-        self.calls += 1
-        return action_I(self.p, E, 0.0, self.cfg, _slice=self.slice(E))
-
-
 def _expand(f, x, factor, sign, what, origin=0.0, tries=200):
     """Scale the distance of x from ``origin`` by ``factor`` until
     sign * f(x) > 0; the geometric bracket search of every family."""
@@ -87,7 +61,8 @@ def _expand(f, x, factor, sign, what, origin=0.0, tries=200):
 
 def _solve_inner(n1, target, p, xtol=2e-12):
     """Bracketed root of F(E) = N_1(E) - target(E) on the family's energy
-    window, to ``xtol`` + 1e-13 |E|; a threshold ceiling needs F >= 0."""
+    window, to ``xtol`` + 1e-13 |E|; a threshold ceiling needs F >= 0, and
+    a root that ``xtol`` rounds onto it is solved again to 1e-13 |E|."""
     floor, ceiling = p.energy_window()
     f = lambda E: n1(E) - target(E)
 
@@ -98,7 +73,11 @@ def _solve_inner(n1, target, p, xtol=2e-12):
             raise NoBoundState(
                 f"T = {t_top:g} exceeds the well capacity N1({ceiling:g}) = {n_top:g}")
         lo = _expand(f, floor, 8.0, -1, "below the deepest level", tries=60)
-        hi = ceiling
+        E = brentq(f, lo, ceiling, xtol=xtol, rtol=1e-13, maxiter=200)
+        if E == ceiling and n_top > t_top:
+            # a root within xtol of the threshold: N_1 changes on every decade of -E
+            E = brentq(f, lo, ceiling, xtol=1e-300, rtol=1e-13, maxiter=200)
+        return E
     elif ceiling is not None:
         # E in (-inf, ceiling): close in on the threshold, then go deep
         scale = p.energy_scale()
@@ -123,7 +102,7 @@ _OUTER_TOL = 1e-9
 _OUTER_MAX = 50
 
 
-def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
+def quantize_energy(p, level, mode="linear", _slice_at=None):
     """Invert the quantization condition for one level.
 
     ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda as one bracketed
@@ -142,9 +121,10 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
     """
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
-    n1 = _n1 if _n1 is not None else _CountingN1(p, cfg)
+    slice_at = _slice_at if _slice_at is not None else slice_cache(p)
+    n1 = lambda E: action_I(p, E, 0.0, _slice=slice_at(E))
     nu, lam = level.nu, level.lam
-    phi_at = lambda E: phi_additive(p, E, level.d, cfg, _slice=n1.slice(E))
+    phi_at = lambda E: phi_additive(p, E, level.d, _slice=slice_at(E))
 
     if lam == 0.0:
         E = _solve_inner(n1, lambda E: nu, p)
@@ -167,9 +147,9 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
     # non-linear mode: seed from the linear solution, then fixed point on T
     T = None
     for it in range(1, _OUTER_MAX + 1):
-        s = n1.slice(E)
-        c1 = chi_d(p, E, 1.0, cfg, _slice=s)
-        c_inf = chi_infinity(p, E, cfg, _slice=s)
+        s = slice_at(E)
+        c1 = chi_d(p, E, 1.0, _slice=s)
+        c_inf = chi_infinity(p, E, _slice=s)
         t_here = teff_nonlinear(level, c1, c_inf, s.A)
         if T is None:
             T = t_here
@@ -189,13 +169,13 @@ def quantize_energy(p, level, mode="linear", cfg=DEFAULT_CONFIG, _n1=None):
                          residual=residual)
 
 
-def enumerate_bound_states(p, e_max, d, l_max, mode="linear", cfg=DEFAULT_CONFIG):
+def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
     """All levels with E <= e_max for l = 0..l_max, sorted by energy.
 
     For each l the radial index is incremented until the well runs out of
     capacity or the energy cap is passed (T grows with n_r, so both
-    stopping rules are monotone).  The levels share one N_1, so the
-    energies their solves have in common are analysed once.
+    stopping rules are monotone).  The levels share one slice cache, so
+    the energies their solves have in common are analysed once.
     """
     if math.isnan(e_max):
         raise ValueError("energy cap must not be NaN")
@@ -206,13 +186,13 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear", cfg=DEFAULT_CONFIG
     if p.levels_accumulate and e_max >= ceiling:
         raise ValueError(f"levels accumulate at the threshold {ceiling:g}; "
                          "the energy cap must lie below it")
-    n1 = _CountingN1(p, cfg)
+    slice_at = slice_cache(p)
     found = []
     for l in range(l_max + 1):
         for n_r in range(200):
             try:
-                entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode, cfg=cfg,
-                                        _n1=n1)
+                entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode,
+                                        _slice_at=slice_at)
             except NoBoundState:
                 break
             if entry.E > e_max:
@@ -235,13 +215,13 @@ class ScalingReport:
     convexity_ok: bool
 
 
-def power_law_scaling_check(b, mu, d, levels, cfg=DEFAULT_CONFIG, slope_tol=1e-3):
+def power_law_scaling_check(b, mu, d, levels, slope_tol=1e-3):
     """Fit E proportional to T^(2 mu/(mu+2)) over the given levels and check
     the sign of the second difference of E(0, l) against sgn(mu - 2)."""
     if not mu > 0:
         raise ValueError("scaling check applies to mu > 0")
     p = PowerLaw(b=b, mu=mu)
-    entries = [quantize_energy(p, lvl, cfg=cfg) for lvl in levels]
+    entries = [quantize_energy(p, lvl) for lvl in levels]
     log_t = np.log([e.T for e in entries])
     log_e = np.log([e.E for e in entries])
     slope = float(np.polyfit(log_t, log_e, 1)[0])

@@ -19,7 +19,7 @@ from scipy.special import betaln
 
 from .errors import NumericsError
 from .potentials import ScreenedCoulomb, analyze_slice
-from .quadrature import DEFAULT_CONFIG, reduced_moment
+from .quadrature import reduced_moment
 
 __all__ = [
     "chi_d",
@@ -41,7 +41,7 @@ def _beta(a, b):
     return math.exp(betaln(a, b))
 
 
-def chi_d(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
+def chi_d(p, E, d, _slice=None):
     """Relative phase-space transform chi_d = M_d / (A^d B(d/2, 1/2)).
 
     Accepts non-integer d >= 1.  For integer d >= 2 the equivalent
@@ -51,7 +51,7 @@ def chi_d(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
     if d < 1:
         raise ValueError("chi_d requires d >= 1")
     s = _slice if _slice is not None else analyze_slice(p, E)
-    m_hat = reduced_moment(p, E, d, cfg, _slice=s)
+    m_hat = reduced_moment(p, E, d, _slice=s)
     return m_hat / _beta(0.5 * d, 0.5)
 
 
@@ -67,7 +67,7 @@ def _second_derivative_at_max(p, E, rho_m, h=1e-3):
     return (16.0 * d_h2 - d_h) / 15.0
 
 
-def chi_infinity_forms(p, E, cfg=DEFAULT_CONFIG, _slice=None):
+def chi_infinity_forms(p, E, _slice=None):
     """(curvature form, convexity form) of the d -> infinity limit of chi_d.
 
     The curvature form is A sqrt(2/|W''|) at the maximum; stationarity
@@ -76,8 +76,8 @@ def chi_infinity_forms(p, E, cfg=DEFAULT_CONFIG, _slice=None):
     """
     s = _slice if _slice is not None else analyze_slice(p, E)
     if s.boundary_max:
-        lo = chi_d(p, E, 64.0, cfg, _slice=s)
-        hi = chi_d(p, E, 256.0, cfg, _slice=s)
+        lo = chi_d(p, E, 64.0, _slice=s)
+        hi = chi_d(p, E, 256.0, _slice=s)
         limit = 2.0 * hi - lo  # one Richardson step in 1/sqrt(d)
         return limit, limit
     w2 = _second_derivative_at_max(p, E, math.log(s.r_m))
@@ -88,7 +88,7 @@ def chi_infinity_forms(p, E, cfg=DEFAULT_CONFIG, _slice=None):
     return curvature, convexity
 
 
-def chi_infinity(p, E, cfg=DEFAULT_CONFIG, _slice=None):
+def chi_infinity(p, E, _slice=None):
     """Large-d limit of chi_d, by the curvature of W at its maximum.
 
     Cross-checked against the convexity-index form; the two must agree to
@@ -96,7 +96,7 @@ def chi_infinity(p, E, cfg=DEFAULT_CONFIG, _slice=None):
     second derivatives come from finite differences).
     """
     s = _slice if _slice is not None else analyze_slice(p, E)
-    curvature, convexity = chi_infinity_forms(p, E, cfg, _slice=s)
+    curvature, convexity = chi_infinity_forms(p, E, _slice=s)
     if s.boundary_max:
         return curvature
     tol = 1e-3 if p.interpolated else 1e-6
@@ -117,23 +117,23 @@ def _multiplicative(c1, cd, d):
     return (c1**d / cd) ** (1.0 / (d - 1.0))
 
 
-def phi_additive(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
+def phi_additive(p, E, d, _slice=None):
     """Basic slope estimator phi = chi_1 + (chi_1 - chi_d)/(d - 1)."""
     if not d > 1:
         raise ValueError("phi_additive requires d > 1")
     s = _slice if _slice is not None else analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, cfg, _slice=s)
-    cd = chi_d(p, E, d, cfg, _slice=s)
+    c1 = chi_d(p, E, 1.0, _slice=s)
+    cd = chi_d(p, E, d, _slice=s)
     return _additive(c1, cd, d)
 
 
-def phi_multiplicative(p, E, d, cfg=DEFAULT_CONFIG, _slice=None):
+def phi_multiplicative(p, E, d, _slice=None):
     """Multiplicative slope estimator (chi_1^d / chi_d)^(1/(d-1))."""
     if not d > 1:
         raise ValueError("phi_multiplicative requires d > 1")
     s = _slice if _slice is not None else analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, cfg, _slice=s)
-    cd = chi_d(p, E, d, cfg, _slice=s)
+    c1 = chi_d(p, E, 1.0, _slice=s)
+    cd = chi_d(p, E, d, _slice=s)
     return _multiplicative(c1, cd, d)
 
 
@@ -186,7 +186,7 @@ class AdiabaticCorrection:
     mu_m: float
 
 
-def adiabatic_correction(p, E, cfg=DEFAULT_CONFIG, _slice=None):
+def adiabatic_correction(p, E, _slice=None):
     """Correction from the radial drift of kappa, evaluated at the W maximum.
 
     Identically zero for power laws (kappa is constant there).
@@ -239,14 +239,14 @@ class ChiProfile:
                 raise NumericsError(f"multiplicative/additive ratio {value} < 1 at d={d}")
 
 
-def chi_profile(p, E, ds=(2, 3), cfg=DEFAULT_CONFIG):
+def chi_profile(p, E, ds=(2, 3)):
     """Build the full transform profile at one energy for the requested d's."""
     s = analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, cfg, _slice=s)
-    c_inf = chi_infinity(p, E, cfg, _slice=s)
+    c1 = chi_d(p, E, 1.0, _slice=s)
+    c_inf = chi_infinity(p, E, _slice=s)
     chis, phis, phims, phias, chidas, ratios, ss, ws = {}, {}, {}, {}, {}, {}, {}, {}
     for d in ds:
-        cd = chi_d(p, E, d, cfg, _slice=s)
+        cd = chi_d(p, E, d, _slice=s)
         phi = _additive(c1, cd, d)
         phi_m = _multiplicative(c1, cd, d)
         phi_as = c1 + (c1 - c_inf) / d
@@ -263,7 +263,7 @@ def chi_profile(p, E, ds=(2, 3), cfg=DEFAULT_CONFIG):
     if s.boundary_max:
         b1_add = phi_ad = mu_m = None
     else:
-        corr = adiabatic_correction(p, E, cfg, _slice=s)
+        corr = adiabatic_correction(p, E, _slice=s)
         b1_add, phi_ad, mu_m = corr.b1_add, corr.phi_add, corr.mu_m
     return ChiProfile(E=E, A=s.A, chi1=c1, chi_inf=c_inf, chi=chis,
                       phi_additive=phis, phi_mult=phims, phi_as=phias,

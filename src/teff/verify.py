@@ -25,7 +25,7 @@ from .ordering import (
 )
 from .oracle import solve_bound_state
 from .potentials import HardWall, PowerLaw, analyze_slice, parse_potential
-from .quadrature import DEFAULT_CONFIG, action_I, bound_count_N
+from .quadrature import action_I, bound_count_N
 from .spectrum import enumerate_bound_states, quantize_energy
 from .transforms import (
     b_coefficients,
@@ -182,7 +182,7 @@ def check_reference_exactness():
                 lvl = QuantumLevel(n_r, l, d)
                 for p, kind, strength in ((coulomb, "coulomb", 1.0),
                                           (oscillator, "oscillator", 0.5)):
-                    got = quantize_energy(p, lvl, cfg=DEFAULT_CONFIG).E
+                    got = quantize_energy(p, lvl).E
                     ref = exact_reference_spectrum(kind, strength, lvl)
                     rel = abs(got / ref - 1.0)
                     worst = max(worst, rel)
@@ -339,18 +339,16 @@ def _check_weighted_identity(lines):
 def _check_scale_invariance(lines):
     ok = True
     c = 3.7
-    base = [(PowerLaw(b=1.0, mu=1.0), 0.9), (PowerLaw(b=-1.0, mu=-1.0), -0.7),
-            (parse_potential("screened:kind=exp,Z=2"), -0.3),
-            (parse_potential("quark:alpha=0.5,delta=1,B=3"), 1.5)]
-    for p, E in base:
+    # (potential, E, the same potential with V -> cV)
+    base = [(PowerLaw(b=1.0, mu=1.0), 0.9, PowerLaw(b=c * 1.0, mu=1.0)),
+            (PowerLaw(b=-1.0, mu=-1.0), -0.7, PowerLaw(b=c * -1.0, mu=-1.0)),
+            (parse_potential("screened:kind=exp,Z=2"), -0.3,
+             parse_potential(f"screened:kind=exp,Z={c * 2.0}")),
+            (parse_potential("quark:alpha=0.5,delta=1,B=3"), 1.5,
+             parse_potential(f"quark:alpha=0.5,delta=1,B={c * 3.0}"))]
+    for p, E, scaled in base:
         chi_a = chi_d(p, E, 3)
         phi_a = phi_additive(p, E, 3)
-        if isinstance(p, PowerLaw):
-            scaled = PowerLaw(b=c * p.b, mu=p.mu)
-        elif hasattr(p, "Z"):
-            scaled = parse_potential(f"screened:kind=exp,Z={c * p.Z}")
-        else:
-            scaled = parse_potential(f"quark:alpha={p.alpha},delta={p.delta},B={c * p.B}")
         chi_b = chi_d(scaled, c * E, 3)
         phi_b = phi_additive(scaled, c * E, 3)
         rel = max(abs(chi_b / chi_a - 1.0), abs(phi_b / phi_a - 1.0))

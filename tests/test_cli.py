@@ -201,8 +201,15 @@ class TestExitCodes:
     def test_config_error_is_2(self):
         assert main(["chi-table", "--potential", "power:b=1,mu=-3"]) == 2
 
-    def test_unknown_flag_is_2(self):
-        assert main(["order", "--phi", "1", "--count", "3", "--bogus"]) == 2
+    @pytest.mark.parametrize("args", [
+        ["order", "--phi", "1", "--count", "3", "--bogus"],
+        # the quadrature accuracy is fixed: no option sets it
+        ["spectrum", "--potential", "power:b=1,mu=1", "--levels", "0:0", "--rel-tol", "1e-6"],
+        ["chi-table", "--suite", "table1", "--tail-cut", "1e-10"],
+    ])
+    def test_unknown_flag_is_2(self, args, capsys):
+        assert main(args) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_success_is_0(self):
         assert main(["order", "--phi", "1.75", "--count", "3"]) == 0

@@ -10,7 +10,6 @@ from teff import (
     Divergent,
     NoClassicalRegion,
     PowerLaw,
-    QuadratureConfig,
     action_I,
     analyze_slice,
     bound_count_N,
@@ -20,18 +19,6 @@ from teff import (
     reduced_moment,
 )
 from teff.ordering import leading_degeneracy
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.rel_tol == 1e-9 and cfg.tail_cut == 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(tail_cut=1e-3)
 
 
 class TestAction:
@@ -124,18 +111,17 @@ class TestMoments:
         assert bound_count_N(yukawa, -0.1, 2) == pytest.approx(
             0.5 * moment_M(yukawa, -0.1, 2), rel=1e-12)
 
-    def test_slice_keeps_each_config_apart(self, yukawa):
-        # a slice stores its moments per (d, config): a second config on the
-        # same slice gets its own integral, not the first config's value
-        loose = QuadratureConfig(rel_tol=1e-6)
+    def test_slice_keeps_each_d_apart(self, yukawa):
+        # a slice stores one moment per d: a second call on the same slice
+        # returns the stored value, which is what a fresh slice integrates
         s = analyze_slice(yukawa, -0.1)
+        stored = {}
         for d in (1, 3):
-            first = reduced_moment(yukawa, -0.1, d, loose, _slice=s)
-            second = reduced_moment(yukawa, -0.1, d, _slice=s)
-            assert first == reduced_moment(yukawa, -0.1, d, loose)
-            assert second == reduced_moment(yukawa, -0.1, d)
-            assert first != second
-            assert reduced_moment(yukawa, -0.1, d, loose, _slice=s) == first
+            stored[d] = reduced_moment(yukawa, -0.1, d, _slice=s)
+            assert stored[d] == reduced_moment(yukawa, -0.1, d)
+            assert reduced_moment(yukawa, -0.1, d, _slice=s) == stored[d]
+        assert s._moments == stored
+        assert stored[1] != stored[3]
 
 
 class TestNonlinearity:

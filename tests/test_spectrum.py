@@ -311,8 +311,10 @@ class TestOneRootPerLevel:
            l=st.integers(1, 4))
     @example(p=parse_potential("screened:kind=inv2,Z=45.2"), d=3, n_r=0, l=4)
     @example(p=parse_potential("screened:kind=inv2,Z=45.2"), d=3, n_r=8, l=0)
+    @example(p=parse_potential("screened:kind=inv2,Z=45.2"), d=2, n_r=9, l=0)
     def test_t_is_self_consistent(self, p, d, n_r, l):
-        # (8, 0) has its root 3e-16 below the threshold
+        # (8, 0) has its root 3e-16 below the threshold, and the constant-T
+        # (9, 0, 2) 1.1e-16 below it; at the threshold the residual is 7.9e-3
         lvl = QuantumLevel(n_r, l, d)
         try:
             entry = quantize_energy(p, lvl)
