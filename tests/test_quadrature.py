@@ -9,7 +9,10 @@ from scipy.special import roots_legendre
 from teff import (
     Divergent,
     NoClassicalRegion,
+    PotentialError,
     PowerLaw,
+    Tabulated,
+    TeffError,
     action_I,
     analyze_slice,
     bound_count_N,
@@ -18,6 +21,7 @@ from teff import (
     parse_potential,
     reduced_moment,
 )
+from teff import quadrature
 from teff.ordering import leading_degeneracy
 
 
@@ -122,6 +126,91 @@ class TestMoments:
             assert reduced_moment(yukawa, -0.1, d, _slice=s) == stored[d]
         assert s._moments == stored
         assert stored[1] != stored[3]
+
+
+def _yukawa_table(lo, hi):
+    """Yukawa Z=2 on 1000 geometric nodes of [lo, hi]."""
+    r = np.geomspace(lo, hi, 1000)
+    return Tabulated(r, -2.0 * np.exp(-r) / r)
+
+
+# Bit-for-bit values of reduced_moment for d = 1, 3, then action_I at
+# lambda = 0.5 and 0.9 A, on three table ranges: the wide one decays below the tail cut inside it; the
+# one ending at r = 2 ends on a positive W above E ~ -0.2; the one starting
+# at r = 0.3 starts within a decade of the maximum (and has none at E = -2).
+# Where a truncation point lies within a decade of the W maximum the walk
+# for the tail's decay rate runs off the table.
+_TABLE_PINS = {
+    ((1e-4, 40.0), -2.0): (3.190381930979012, 1.6073797102156964, 0.23610927983182697, 0.07516441870795229),
+    ((1e-4, 40.0), -0.5): (3.3129853906475355, 1.6997188263501672, 0.5233068821888598, 0.1086117237075522),
+    ((1e-4, 40.0), -0.1): (3.5492774035049766, 1.8755097445740445, 0.7646121657501743, 0.1424171959133162),
+    ((1e-4, 40.0), -0.01): (3.870917432969489, 2.082174799023724, 0.9278720638394014, 0.166114277064602),
+    ((1e-4, 40.0), 0.0): (4.132742704955045, 2.1619698275400148, 0.9773782697029532, 0.17081393880196236),
+    ((1e-4, 2.0), -2.0): (3.1903821275798334, 1.6073800229807182, 0.23610928174102652, 0.07516445881219282),
+    ((1e-4, 2.0), -0.5): (3.3129856595833633, 1.6997192615808556, 0.5233068823420567, 0.10861180689144241),
+    ((1e-4, 2.0), -0.1): (PotentialError, PotentialError, 0.7641483698517547, 0.14241719193221988),
+    ((1e-4, 2.0), -0.01): (PotentialError, PotentialError, 0.8315871003293525, 0.16611441935954496),
+    ((1e-4, 2.0), 0.0): (PotentialError, PotentialError, 0.8379905100837122, 0.17081405014947892),
+    ((0.3, 2.0), -2.0): (NoClassicalRegion,) * 4,
+    ((0.3, 2.0), -0.5): (PotentialError, PotentialError, 0.30785664870452867, 0.10768246256216411),
+    ((0.3, 2.0), -0.1): (PotentialError, PotentialError, 0.5383268437484189, 0.14241718469075645),
+    ((0.3, 2.0), -0.01): (PotentialError, PotentialError, 0.603485275376468, 0.16611444439995565),
+    ((0.3, 2.0), 0.0): (PotentialError, PotentialError, 0.6096364654896135, 0.17081410848442644),
+}
+
+
+def _table_quantities(t, E):
+    return (lambda: reduced_moment(t, E, 1.0), lambda: reduced_moment(t, E, 3.0),
+            lambda: action_I(t, E, 0.5),
+            lambda: action_I(t, E, 0.9 * analyze_slice(t, E).A))
+
+
+class TestTableEdges:
+    @pytest.mark.parametrize("span,E", list(_TABLE_PINS),
+                             ids=[f"{lo:g}-{hi:g}-E{E:g}" for (lo, hi), E in _TABLE_PINS])
+    def test_pinned_bits(self, span, E):
+        t = _yukawa_table(*span)
+        for fn, pin in zip(_table_quantities(t, E), _TABLE_PINS[(span, E)]):
+            if isinstance(pin, float):
+                assert fn() == pin
+            else:
+                with pytest.raises(pin):
+                    fn()
+
+    def test_pins_reach_every_walk_exit(self, monkeypatch):
+        # the pinned cases clamp a left root to the floor, leave the right
+        # flank at a zero, a cut and the table edge, and put an outer
+        # turning point on the ceiling
+        seen = set()
+        root_left, classify, turning = (quadrature._root_left, quadrature._classify_right,
+                                        quadrature._turning_points)
+
+        def record_left(*args, **kw):
+            rho, clamped = root_left(*args, **kw)
+            seen.add(("clamped", clamped))
+            return rho, clamped
+
+        def record_right(*args, **kw):
+            kind, rho = classify(*args, **kw)
+            seen.add(kind)
+            return kind, rho
+
+        def record_turning(p, *args):
+            rho1, rho2 = turning(p, *args)
+            seen.add(("ceiling", rho2 == math.log(p.domain()[1])))
+            return rho1, rho2
+
+        monkeypatch.setattr(quadrature, "_root_left", record_left)
+        monkeypatch.setattr(quadrature, "_classify_right", record_right)
+        monkeypatch.setattr(quadrature, "_turning_points", record_turning)
+        for span, E in _TABLE_PINS:
+            t = _yukawa_table(*span)
+            for fn in _table_quantities(t, E):
+                try:
+                    fn()
+                except TeffError:
+                    pass
+        assert seen >= {("clamped", True), "zero", "cut", "edge", ("ceiling", True)}
 
 
 class TestNonlinearity:
