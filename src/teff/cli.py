@@ -46,6 +46,11 @@ def _emit(rows, columns, fmt, output, command):
     else:
         text = json.dumps({"schema": 1, "command": command, "columns": list(columns),
                            "rows": rows}, indent=2) + "\n"
+    _write(text, output)
+
+
+def _write(text, output):
+    """Write text to the file ``output``, or to stdout when it is None."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -213,14 +218,9 @@ def cmd_diagram(specs, phi_min, phi_max, nr_max, l_max, e_grids, dim, fmt, outpu
 
     dd = diagram_data(levels, (phi_min, phi_max), curve_specs, d=dim)
     if fmt == "csv":
-        text = diagram_to_csv(dd)
+        _write(diagram_to_csv(dd), output)
     else:
-        text = json.dumps(diagram_to_json(dd), indent=2) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        _write(json.dumps(diagram_to_json(dd), indent=2) + "\n", output)
 
 
 @cli.command("verify")
@@ -247,9 +247,6 @@ def main(argv=None):
         cli.main(args=argv, standalone_mode=False)
     except SystemExit as exc:
         return exc.code
-    except click.UsageError as exc:
-        exc.show()
-        return 2
     except click.ClickException as exc:
         exc.show()
         return 2

@@ -2,13 +2,12 @@
 effective radial function.
 
 Units are natural (hbar = m = 1) throughout.  Every family provides the
-potential V(r), its first two radial derivatives, and the logarithmic
-convexity index
+potential V(r) and the logarithmic convexity index
 
     kappa(r) = 1 + r V''(r) / V'(r),
 
-which is constant (equal to the exponent) for pure power laws.  The
-central derived object is
+which is constant (equal to the exponent) for pure power laws; nothing
+downstream needs more of a potential.  The central derived object is
 
     W(E, rho) = 2 e^(2 rho) (E - V(e^rho)),     rho = ln r,
 
@@ -77,7 +76,8 @@ class Screening:
         raise NotImplementedError
 
     def convexity_term(self, r):
-        """g'' r^2 / (g' r - g); overridable where the generic ratio underflows."""
+        """g'' r^2 / (g' r - g), which fixes kappa = -1 + convexity_term;
+        a screening with a closed form overrides it instead of dg, d2g."""
         r = np.asarray(r, dtype=float)
         return self.d2g(r) * r**2 / (self.dg(r) * r - self.g(r))
 
@@ -90,46 +90,28 @@ class ExponentialScreening(Screening):
     def g(self, r):
         return np.exp(-_point(r))
 
-    def dg(self, r):
-        return -np.exp(-np.asarray(r, dtype=float))
-
-    def d2g(self, r):
-        return np.exp(-np.asarray(r, dtype=float))
-
     def convexity_term(self, r):
         # the exponential cancels, avoiding 0/0 underflow at large radii
         r = np.asarray(r, dtype=float)
         return -r * r / (1.0 + r)
 
 
-class InverseSquareScreening(Screening):
-    """g(r) = (1 + r)^-2."""
+class InversePowerScreening(Screening):
+    """g(r) = (1 + r)^-k; k = 2.5 is a good model of self-consistent
+    atomic fields."""
 
-    kind = "inv2"
-
-    def g(self, r):
-        return (1.0 + _point(r)) ** -2.0
-
-    def dg(self, r):
-        return -2.0 * (1.0 + np.asarray(r, dtype=float)) ** -3.0
-
-    def d2g(self, r):
-        return 6.0 * (1.0 + np.asarray(r, dtype=float)) ** -4.0
-
-
-class InversePow25Screening(Screening):
-    """g(r) = (1 + r)^-2.5, a good model of self-consistent atomic fields."""
-
-    kind = "inv25"
+    def __init__(self, kind, k):
+        self.kind = kind
+        self.k = k
 
     def g(self, r):
-        return (1.0 + _point(r)) ** -2.5
+        return (1.0 + _point(r)) ** -self.k
 
     def dg(self, r):
-        return -2.5 * (1.0 + np.asarray(r, dtype=float)) ** -3.5
+        return -self.k * (1.0 + np.asarray(r, dtype=float)) ** -(self.k + 1.0)
 
     def d2g(self, r):
-        return 8.75 * (1.0 + np.asarray(r, dtype=float)) ** -4.5
+        return self.k * (self.k + 1.0) * (1.0 + np.asarray(r, dtype=float)) ** -(self.k + 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -352,10 +334,11 @@ class ThomasFermiScreening(Screening):
         return phi * np.sqrt(phi / x) / self.b**2
 
 
+# kind -> screening of a well of charge Z
 _SCREENINGS = {
-    "exp": ExponentialScreening,
-    "inv2": InverseSquareScreening,
-    "inv25": InversePow25Screening,
+    "exp": lambda Z: ExponentialScreening(),
+    "inv2": lambda Z: InversePowerScreening("inv2", 2.0),
+    "inv25": lambda Z: InversePowerScreening("inv25", 2.5),
     "tf": ThomasFermiScreening,
 }
 
@@ -366,7 +349,7 @@ _SCREENINGS = {
 
 
 class Potential:
-    """Base class; concrete families implement V, dV, d2V (vectorised)."""
+    """Base class; concrete families implement V and kappa (vectorised)."""
 
     family = "abstract"
     # True when V has no length scale that the energy could probe, so E
@@ -382,18 +365,9 @@ class Potential:
     def V(self, r):
         raise NotImplementedError
 
-    def dV(self, r):
-        raise NotImplementedError
-
-    def d2V(self, r):
-        raise NotImplementedError
-
     def kappa(self, r):
         """Logarithmic convexity index 1 + r V''/V'."""
-        dv = self.dV(r)
-        if np.any(np.asarray(dv) == 0):
-            raise PotentialError("kappa undefined where V'(r) = 0")
-        return 1.0 + np.asarray(r, dtype=float) * self.d2V(r) / dv
+        raise NotImplementedError
 
     def W(self, E, rho):
         """Effective radial function 2 r^2 (E - V(r)) at rho = ln r."""
@@ -460,12 +434,6 @@ class PowerLaw(Potential):
     def V(self, r):
         return self.b * np.power(_point(r), self.mu)
 
-    def dV(self, r):
-        return self.b * self.mu * np.asarray(r, dtype=float) ** (self.mu - 1.0)
-
-    def d2V(self, r):
-        return self.b * self.mu * (self.mu - 1.0) * np.asarray(r, dtype=float) ** (self.mu - 2.0)
-
     def kappa(self, r):
         r = np.asarray(r, dtype=float)
         return self.mu + 0.0 * r if r.ndim else float(self.mu)
@@ -508,19 +476,6 @@ class ScreenedCoulomb(Potential):
         r = _point(r)
         return -self.Z * self.screening.g(r) / r
 
-    def dV(self, r):
-        r = np.asarray(r, dtype=float)
-        g = self.screening.g(r)
-        dg = self.screening.dg(r)
-        return self.Z * (g - r * dg) / r**2
-
-    def d2V(self, r):
-        r = np.asarray(r, dtype=float)
-        g = self.screening.g(r)
-        dg = self.screening.dg(r)
-        d2g = self.screening.d2g(r)
-        return -self.Z * (d2g / r - 2.0 * (r * dg - g) / r**3)
-
     def kappa(self, r):
         r = np.asarray(r, dtype=float)
         return -1.0 + self.screening.convexity_term(r)
@@ -562,15 +517,6 @@ class Quarkonium(Potential):
         r = _point(r)
         return self.B * (-self.alpha / r + (1.0 - self.alpha) * np.power(r, self.delta))
 
-    def dV(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.B * (self.alpha / r**2 + (1.0 - self.alpha) * self.delta * r ** (self.delta - 1.0))
-
-    def d2V(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.B * (-2.0 * self.alpha / r**3
-                         + (1.0 - self.alpha) * self.delta * (self.delta - 1.0) * r ** (self.delta - 2.0))
-
     def kappa(self, r):
         # (-1 + Q delta^2) / (1 + Q delta), Q = (1-alpha)/alpha * r^(delta+1);
         # runs from -1 at the origin to delta at infinity
@@ -609,14 +555,6 @@ class HardWall(Potential):
         out = np.where(r <= self.R, 0.0, np.inf)
         return float(out) if out.ndim == 0 else out
 
-    def dV(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        return float(out) if out.ndim == 0 else out
-
-    def d2V(self, r):
-        return self.dV(r)
-
     def kappa(self, r):
         raise PotentialError("kappa undefined for a hard wall (V' = 0 inside)")
 
@@ -643,9 +581,9 @@ class HardWall(Potential):
 class Tabulated(Potential):
     """Potential interpolated from an ascending (r, V) table.
 
-    Monotone cubic interpolation for V; first and second derivatives by
-    centered differences of the interpolant, which preserves the sign
-    structure of the convexity index.
+    Monotone cubic interpolation for V; first and second derivatives, and
+    from them kappa, by centered differences of the interpolant, which
+    preserves the sign structure of the convexity index.
     """
 
     family = "table"
@@ -688,6 +626,12 @@ class Tabulated(Potential):
         h = 1e-3 * np.maximum(np.abs(r), self.r_min)
         rc = np.clip(r, self.r_min + h, self.r_max - h)
         return (self._interp(rc + h) - 2.0 * self._interp(rc) + self._interp(rc - h)) / h**2
+
+    def kappa(self, r):
+        dv = self.dV(r)
+        if np.any(np.asarray(dv) == 0):
+            raise PotentialError("kappa undefined where V'(r) = 0")
+        return 1.0 + np.asarray(r, dtype=float) * self.d2V(r) / dv
 
     def asymptotic_value(self):
         return self._v_last
@@ -767,8 +711,7 @@ def parse_potential(spec):
         Z = fval("Z")
         if not Z > 0:
             raise PotentialError(f"Z must be > 0, got {Z}")
-        screening = _SCREENINGS[kind](Z) if kind == "tf" else _SCREENINGS[kind]()
-        return ScreenedCoulomb(Z=Z, screening=screening)
+        return ScreenedCoulomb(Z=Z, screening=_SCREENINGS[kind](Z))
     if family == "quark":
         return Quarkonium(alpha=fval("alpha"), delta=fval("delta"), B=fval("B"))
     if family == "wall":

@@ -52,6 +52,36 @@ def _w_func(p, E):
     return lambda rho: float(p.W(E, rho))
 
 
+def _rho_edges(p):
+    """(floor, ceil): ln of the ends of p's domain, None where it is open."""
+    r_lo, r_hi = p.domain()
+    return (math.log(r_lo) if r_lo > 0.0 else None,
+            math.log(r_hi) if math.isfinite(r_hi) else None)
+
+
+def _walk(start, sign, edge, what):
+    """The march along one flank of W: (near, far, at_edge) brackets from
+    ``start`` in the direction ``sign``, the first 0.5 wide and each next
+    twice the last, up to 64.
+
+    A step reaching ``edge`` (a tabulated range end; None when open) ends at
+    it with at_edge=True, and is the last; ``Divergent(what)`` is raised
+    once the walk has gone ``_MARCH_LIMIT`` from ``start``.
+    """
+    step = 0.5
+    near = start
+    while True:
+        far = near + sign * step
+        if edge is not None and (far >= edge if sign > 0 else far <= edge):
+            yield near, edge, True
+            return
+        yield near, far, False
+        near = far
+        step = min(2.0 * step, 64.0)
+        if abs(near - start) > _MARCH_LIMIT:
+            raise Divergent(what)
+
+
 def _root_left(w, rho_m, target, rho_floor=None):
     """Root of W = target on the rising left flank (W -> 0 as rho -> -inf).
 
@@ -59,20 +89,12 @@ def _root_left(w, rho_m, target, rho_floor=None):
     (tabulated range edge) the floor itself is returned with clamped=True.
     """
     f = lambda x: w(x) - target
-    step = 0.5
-    hi = rho_m
-    while True:
-        lo = hi - step
-        if rho_floor is not None and lo <= rho_floor:
-            if f(rho_floor) > 0:
-                return rho_floor, True
-            return brentq(f, rho_floor, hi, rtol=1e-13, maxiter=200), False
-        if f(lo) < 0:
+    for hi, lo, at_edge in _walk(rho_m, -1.0, rho_floor, "left flank of W fails to decay"):
+        f_lo = f(lo)
+        if at_edge and f_lo > 0:
+            return lo, True
+        if at_edge or f_lo < 0:
             return brentq(f, lo, hi, rtol=1e-13, maxiter=200), False
-        hi = lo
-        step = min(2.0 * step, 64.0)
-        if rho_m - hi > _MARCH_LIMIT:
-            raise Divergent("left flank of W fails to decay")
 
 
 def _classify_right(w, rho_m, cut_value, rho_ceil=None):
@@ -82,51 +104,39 @@ def _classify_right(w, rho_m, cut_value, rho_ceil=None):
     first drops below ``cut_value`` while staying positive, or
     ("edge", rho_ceil) when a tabulated range ends first.
     """
-    step = 0.5
-    lo = rho_m
-    w_lo = w(lo)
-    while True:
-        hi = lo + step
-        if rho_ceil is not None and hi >= rho_ceil:
-            w_edge = w(rho_ceil)
-            if w_edge <= 0.0:
-                return "zero", brentq(lambda x: w(x), lo, rho_ceil, rtol=1e-13, maxiter=200)
-            if w_edge <= cut_value:
-                return "cut", brentq(lambda x: w(x) - cut_value, lo, rho_ceil, rtol=1e-13, maxiter=200)
-            return "edge", rho_ceil
+    w_lo = w(rho_m)
+    for lo, hi, at_edge in _walk(rho_m, 1.0, rho_ceil,
+                                 "right flank of W fails to decay below the truncation level"):
         w_hi = w(hi)
         if w_hi <= 0.0:
-            return "zero", brentq(lambda x: w(x), lo, hi, rtol=1e-13, maxiter=200)
+            return "zero", brentq(w, lo, hi, rtol=1e-13, maxiter=200)
         if w_hi <= cut_value:
             return "cut", brentq(lambda x: w(x) - cut_value, lo, hi, rtol=1e-13, maxiter=200)
+        if at_edge:
+            return "edge", hi
         if w_hi > w_lo and hi - rho_m > 4.0:
             raise Divergent("W grows on the right flank; moment integral diverges")
-        lo, w_lo = hi, w_hi
-        step = min(2.0 * step, 64.0)
-        if lo - rho_m > _MARCH_LIMIT:
-            raise Divergent("right flank of W fails to decay below the truncation level")
+        w_lo = w_hi
 
 
-def _fitted_tail(w, rho_cut, w_cut, a2, d, side):
+def _fitted_tail(w, rho_cut, w_cut, a2, d, rho_m, edge):
     """Tail integral of (W/A^2)^(d/2) beyond a truncation point.
 
     The decay rate is fitted over the last decade of W, assuming locally
     exponential behaviour in rho (exact for every in-scope family near
-    the origin, and for power-like tails in r).
+    the origin, and for power-like tails in r).  The walk to W = 10 w_cut
+    heads for the maximum at ``rho_m``, and may stop at the range ``edge``
+    beyond it.
     """
     f = lambda x: w(x) - 10.0 * w_cut
-    step = 0.5
-    x = rho_cut
-    while True:
-        x_next = x + step if side == "left" else x - step
-        if f(x_next) > 0:
-            lo, hi = (x, x_next) if side == "left" else (x_next, x)
-            rho_dec = brentq(f, lo, hi, rtol=1e-12, maxiter=200)
+    sign = 1.0 if rho_cut < rho_m else -1.0
+    for near, far, _ in _walk(rho_cut, sign, edge, "cannot fit a decay rate to the W tail"):
+        if f(far) > 0:
+            rho_dec = brentq(f, min(near, far), max(near, far), rtol=1e-12, maxiter=200)
             break
-        x = x_next
-        step = min(2.0 * step, 64.0)
-        if abs(x - rho_cut) > _MARCH_LIMIT:
-            raise Divergent("cannot fit a decay rate to the W tail")
+        if sign * (far - rho_m) > 0:
+            raise Divergent("cannot fit a decay rate to the W tail: the truncation "
+                            "point lies within a decade of the W maximum")
     alpha = math.log(10.0) / abs(rho_dec - rho_cut)
     return (w_cut / a2) ** (0.5 * d) * 2.0 / (d * alpha)
 
@@ -166,9 +176,7 @@ def _reduced_moment_parts(p, E, d, s, cut):
     rho_m = math.log(s.r_m)
     cut_value = cut * a2
 
-    r_lo, r_hi = p.domain()
-    floor = math.log(r_lo) if r_lo > 0.0 else None
-    ceil = math.log(r_hi) if math.isfinite(r_hi) else None
+    floor, ceil = _rho_edges(p)
 
     def g(rho):
         val = w(rho)
@@ -176,7 +184,7 @@ def _reduced_moment_parts(p, E, d, s, cut):
 
     rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
     total = _quad(g, rho_a, rho_m)
-    total += _fitted_tail(w, rho_a, w(rho_a), a2, d, side="left")
+    total += _fitted_tail(w, rho_a, w(rho_a), a2, d, rho_m, ceil)
 
     if s.boundary_max:
         total += _quad(g, rho_m, math.log(s.r_t))
@@ -190,7 +198,7 @@ def _reduced_moment_parts(p, E, d, s, cut):
                        0.0, math.pi)
         return total, clamped
     total += _quad(g, rho_m, rho_b)
-    total += _fitted_tail(w, rho_b, w(rho_b), a2, d, side="right")
+    total += _fitted_tail(w, rho_b, w(rho_b), a2, d, rho_m, floor)
     return total, True
 
 
@@ -212,26 +220,15 @@ def _turning_points(p, E, lam2, s, w):
     """Roots of W = lam^2 around the maximum (right end may be the wall)."""
     rho_m = math.log(s.r_m)
     f = lambda x: w(x) - lam2
-    r_lo, r_hi = p.domain()
-    rho1, _ = _root_left(w, rho_m, lam2,
-                         rho_floor=math.log(r_lo) if r_lo > 0.0 else None)
+    floor, ceil = _rho_edges(p)
+    rho1, _ = _root_left(w, rho_m, lam2, rho_floor=floor)
     if s.boundary_max:
         return rho1, math.log(s.r_t)
-    step = 0.5
-    lo = rho_m
-    ceil = math.log(r_hi) if math.isfinite(r_hi) else None
-    while True:
-        hi = lo + step
-        if ceil is not None:
-            hi = min(hi, ceil)
+    for lo, hi, at_edge in _walk(rho_m, 1.0, ceil, "no outer root of W = lambda^2 within reach"):
         if f(hi) < 0:
             return rho1, brentq(f, lo, hi, rtol=1e-13, maxiter=200)
-        if ceil is not None and hi >= ceil:
-            return rho1, ceil
-        lo = hi
-        step = min(2.0 * step, 64.0)
-        if lo - rho_m > _MARCH_LIMIT:
-            raise Divergent("no outer root of W = lambda^2 within reach")
+        if at_edge:
+            return rho1, hi
 
 
 def action_I(p, E, lam, _slice=None):

@@ -409,31 +409,19 @@ def _check_b1_extraction(lines):
 
 def _check_orderings(lines):
     ok = True
-    yukawa = parse_potential("screened:kind=exp,Z=50")
-    states = enumerate_bound_states(yukawa, -0.05, 3, 4)
-    oracle = {(s.n_r, s.l): solve_bound_state(yukawa, QuantumLevel(s.n_r, s.l, 3))
-              for s in states}
-    pred = [(s.n_r, s.l) for s in states]
-    true = [k for k, _ in sorted(oracle.items(), key=lambda kv: kv[1])]
-    good = pred == true
-    ok &= good
-    lines.append(f"  Yukawa Z=50 ordering ({len(states)} levels, E <= -0.05, l <= 4): "
-                 + ("exact match" if good else f"MISMATCH {pred} vs {true}"))
-
-    quark = parse_potential("quark:alpha=0.5,delta=1,B=3")
-    states = enumerate_bound_states(quark, 8.0, 3, 3)
-    oracle = {(s.n_r, s.l): solve_bound_state(quark, QuantumLevel(s.n_r, s.l, 3))
-              for s in states}
-    pred = [(s.n_r, s.l) for s in states]
-    true = [k for k, _ in sorted(oracle.items(), key=lambda kv: kv[1])]
-    good = pred == true
-    ok &= good
-    if good:
-        lines.append(f"  quarkonium ordering ({len(states)} levels, E <= 8, l <= 3): exact match")
-    else:
+    for name, spec, cap, lmax in (("Yukawa Z=50", "screened:kind=exp,Z=50", -0.05, 4),
+                                  ("quarkonium", "quark:alpha=0.5,delta=1,B=3", 8.0, 3)):
+        p = parse_potential(spec)
+        states = enumerate_bound_states(p, cap, 3, lmax)
+        oracle = {(s.n_r, s.l): solve_bound_state(p, QuantumLevel(s.n_r, s.l, 3))
+                  for s in states}
+        pred = [(s.n_r, s.l) for s in states]
+        true = [k for k, _ in sorted(oracle.items(), key=lambda kv: kv[1])]
+        good = pred == true
+        ok &= good
         flips = [(a, b) for a, b in zip(pred, true) if a != b]
-        lines.append(f"  quarkonium ordering ({len(states)} levels, E <= 8, l <= 3): "
-                     f"MISMATCH at {flips}")
+        lines.append(f"  {name} ordering ({len(states)} levels, E <= {cap:g}, l <= {lmax}): "
+                     + ("exact match" if good else f"MISMATCH at {flips}"))
     return ok
 
 

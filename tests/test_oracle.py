@@ -516,12 +516,6 @@ class _Rescaled(Potential):
     def V(self, r):
         return self.c * self.p.V(self.a * np.asarray(r, dtype=float))
 
-    def dV(self, r):
-        return self.c * self.a * self.p.dV(self.a * np.asarray(r, dtype=float))
-
-    def d2V(self, r):
-        return self.c * self.c * self.p.d2V(self.a * np.asarray(r, dtype=float))
-
     def kappa(self, r):
         return self.p.kappa(self.a * np.asarray(r, dtype=float))
 

@@ -110,19 +110,20 @@ class TestParsing:
 class TestEvaluation:
     def test_power_law_values(self):
         p = PowerLaw(b=1, mu=2)
-        assert p.V(2.0) == 4.0 and p.dV(2.0) == 4.0
+        assert p.V(2.0) == 4.0 and p.kappa(2.0) == 2.0
 
     def test_yukawa_derivative(self, yukawa):
-        # direct differentiation of -Z e^(-r)/r at r = 1
-        v, dv = yukawa.V(1.0), yukawa.dV(1.0)
+        # -Z e^(-r)/r at r = 1: V'' / V' = -5/2, so kappa = 1 - 5/2
+        v, kappa = yukawa.V(1.0), yukawa.kappa(1.0)
         assert v == pytest.approx(-math.exp(-1.0), rel=1e-14)
-        assert dv == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+        assert kappa == pytest.approx(-1.5, rel=1e-14)
 
     def test_quark_cancellation(self):
+        # B (-alpha/r + (1 - alpha) r) at r = 1: V' = 3, V'' = -3, kappa = 0
         p = Quarkonium(alpha=0.5, delta=1.0, B=3.0)
-        v, dv = p.V(1.0), p.dV(1.0)
+        v, kappa = p.V(1.0), p.kappa(1.0)
         assert v == pytest.approx(0.0, abs=1e-14)
-        assert dv == pytest.approx(3.0, rel=1e-14)
+        assert kappa == pytest.approx(0.0, abs=1e-14)
 
     def test_table_range_enforced(self, yukawa_table):
         p = load_table(yukawa_table)
