@@ -208,10 +208,13 @@ def cmd_diagram(specs, phi_min, phi_max, nr_max, l_max, e_grids, dim, fmt, outpu
         if i < len(e_grids):
             try:
                 lo, hi, n = e_grids[i].split(":")
+                if int(n) < 2:
+                    raise ValueError("a grid needs n >= 2 points")
                 grid = [float(lo) + (float(hi) - float(lo)) * k / (int(n) - 1)
                         for k in range(int(n))]
             except ValueError as exc:
-                raise click.UsageError(f"bad --e-grid {e_grids[i]!r}; use lo:hi:n") from exc
+                raise click.UsageError(
+                    f"bad --e-grid {e_grids[i]!r}; use lo:hi:n with n >= 2") from exc
         else:
             grid = p.default_energy_grid()
         curve_specs.append((p, grid))

@@ -133,7 +133,7 @@ def _grid(p, level, e_lo, e_hi):
             break  # psi ~ e^(lambda rho) has decayed past the margin already
         rho_lo -= 5.0
 
-    rho_hi = _right_edge(p, level, e_hi, s)
+    rho_hi = _right_edge(s, level)
     if not s.boundary_max:
         rho_lo = math.floor(rho_lo / _STEP) * _STEP
     n = max(int(math.ceil((rho_hi - rho_lo) / _STEP)), 64)
@@ -142,14 +142,14 @@ def _grid(p, level, e_lo, e_hi):
     return rho_lo, rho_lo + n * _STEP, n
 
 
-def _right_edge(p, level, e, s):
-    """Where psi = 0 for energies up to e, whose slice is s: a hard wall, or
-    a point that e reaches only after the full decay margin under the
+def _right_edge(s, level):
+    """Where psi = 0 for energies up to that of the slice s: a hard wall, or
+    a point that energy reaches only after the full decay margin under the
     barrier.  At the continuum threshold with lambda = 0 there is no
     barrier, and the march stops once W can no longer bend the solution."""
     if s.boundary_max:
         return math.log(s.r_t)
-    lam = level.lam
+    p, e, lam = s.p, s.E, level.lam
     w_scale = max(s.A**2, lam**2)
     rho_m = rho_hi = math.log(s.r_m)
     accumulated = 0.0
@@ -176,7 +176,7 @@ def _level_grid(p, level, grid, e_hi, seed):
     if top >= e_hi:
         return grid
     rho_lo, _, n = grid
-    cut = _right_edge(p, level, top, analyze_slice(p, top))
+    cut = _right_edge(analyze_slice(p, top), level)
     m = max(int(math.ceil((cut - rho_lo) / _STEP)), 64)
     return grid if m >= n else (rho_lo, rho_lo + m * _STEP, m)
 

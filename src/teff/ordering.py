@@ -212,7 +212,7 @@ def ordering_theorem_signs(p, E_probe):
     r < r_t; a mixed sign there makes the identity not applicable.
     """
     s = analyze_slice(p, E_probe)
-    phi = phi_additive(p, E_probe, 3, _slice=s)
+    phi = phi_additive(s, 3)
     r_t = s.r_t if math.isfinite(s.r_t) else 1e3 * s.r_m
     radii = np.geomspace(1e-3 * r_t, r_t, 256)
     kappas = np.asarray([float(p.kappa(r)) for r in radii])
@@ -335,12 +335,9 @@ class DiagramData:
     crossings: tuple
 
 
-def _curve_point(p, E, d, slice_at):
-    """(phi, A chi_1) at E, on the curve's cached slice there."""
-    s = slice_at(E)
-    c1 = chi_d(p, E, 1.0, _slice=s)
-    phi = phi_additive(p, E, d, _slice=s)
-    return phi, c1 * s.A
+def _curve_point(s, d):
+    """(phi, A chi_1) on the slice s."""
+    return phi_additive(s, d), chi_d(s, 1.0) * s.A
 
 
 def diagram_data(levels, phi_range, curve_specs, d=3, phi_samples=11):
@@ -369,7 +366,7 @@ def diagram_data(levels, phi_range, curve_specs, d=3, phi_samples=11):
         slice_at = slice_cache(p)
         for E in e_grid:
             try:
-                phi, t_val = _curve_point(p, E, d, slice_at)
+                phi, t_val = _curve_point(slice_at(E), d)
             except TeffError as exc:
                 notes.append(f"E={E:g} skipped: {exc}")
                 continue
@@ -384,9 +381,9 @@ def diagram_data(levels, phi_range, curve_specs, d=3, phi_samples=11):
                 if g0 == 0.0 or g0 * g1 >= 0.0:
                     continue
                 func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
-                    _curve_point(p, E, d, slice_at))
+                    _curve_point(slice_at(E), d))
                 e_star = brentq(func, min(e0, e1), max(e0, e1), rtol=1e-10, maxiter=200)
-                phi_star, t_star = _curve_point(p, e_star, d, slice_at)
+                phi_star, t_star = _curve_point(slice_at(e_star), d)
                 crossings.append(DiagramCrossing(
                     line_label=spectroscopic_label(lvl.n_r, lvl.l, d),
                     curve_label=label, phi=phi_star, t_value=t_star, E=float(e_star)))

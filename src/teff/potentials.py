@@ -12,7 +12,8 @@ downstream needs more of a potential.  The central derived object is
     W(E, rho) = 2 e^(2 rho) (E - V(e^rho)),     rho = ln r,
 
 whose single maximum fixes the amplitude A = sqrt(max W) and its
-location r_m.  ``analyze_slice`` packages that geometry for one energy.
+location r_m.  ``analyze_slice`` packages it as an ``EnergySlice``, whose
+``r_t`` and ``kappa_at_rm`` are lazy (computed on first use).
 
 ``W``, ``V`` and the screenings' ``g`` keep a float a float (the point-wise
 quadratures build no 0-d ndarray) and turn anything else into an ndarray,
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_bvp
@@ -409,6 +411,16 @@ class Potential:
         """The slice at E where W peaks on the boundary; None if inside."""
         return None
 
+    def _check_scales(self):
+        """Raise PotentialError unless the family's energy scales are finite."""
+        try:  # 1/R^2 or Z^2 may divide by zero or overflow
+            scales = (self.reference_energy(), self.energy_scale(), *self.energy_window())
+            finite = all(math.isfinite(x) for x in scales if x is not None)
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise PotentialError(f"{self.spec_string()}: energy scale is not a finite number")
+
     def spec_string(self):
         raise NotImplementedError
 
@@ -430,6 +442,7 @@ class PowerLaw(Potential):
             raise PotentialError(f"mu must be > -2, got {self.mu}")
         if not self.b * self.mu > 0.0:
             raise PotentialError(f"b*mu must be > 0 for an attractive well, got b={self.b}, mu={self.mu}")
+        self._check_scales()
 
     def V(self, r):
         return self.b * np.power(_point(r), self.mu)
@@ -471,6 +484,7 @@ class ScreenedCoulomb(Potential):
     def __post_init__(self):
         if not self.Z > 0:
             raise PotentialError(f"Z must be > 0, got {self.Z}")
+        self._check_scales()
 
     def V(self, r):
         r = _point(r)
@@ -549,6 +563,7 @@ class HardWall(Potential):
     def __post_init__(self):
         if not self.R > 0:
             raise PotentialError(f"R must be > 0, got {self.R}")
+        self._check_scales()
 
     def V(self, r):
         r = np.asarray(r, dtype=float)
@@ -562,8 +577,7 @@ class HardWall(Potential):
         if E <= 0:
             raise NoClassicalRegion("a hard-wall well has no states at E <= 0")
         a = math.sqrt(2.0 * E) * self.R
-        return EnergySlice(E=E, r_t=self.R, r_m=self.R, A=a,
-                           kappa_at_rm=math.inf, boundary_max=True)
+        return EnergySlice(p=self, E=E, r_m=self.R, A=a, boundary_max=True)
 
     def asymptotic_value(self):
         return math.inf
@@ -721,31 +735,39 @@ def parse_potential(spec):
 
 @dataclass(frozen=True)
 class EnergySlice:
-    """All local geometry of W at one energy.
+    """All local geometry of W at one energy E of the potential p.
 
-    ``r_t`` is the outer classical turning point of V (``inf`` when the
-    energy sits at the continuum threshold of a decaying tail), ``r_m``
-    the location of the maximum of W, ``A`` the square root of that
-    maximum, ``kappa_at_rm`` the convexity index there (``inf`` for the
-    boundary maximum of a hard wall).
+    ``r_m`` is the location of the maximum of W, ``A`` the square root of
+    that maximum.  Computed on first use: ``r_t``, the outer classical
+    turning point of V (``inf`` at the continuum threshold of a decaying
+    tail), and ``kappa_at_rm``, the convexity index at r_m; a hard wall's
+    boundary maximum has r_t = r_m and kappa_at_rm = inf.
     """
 
+    p: Potential = field(compare=False, repr=False)
     E: float
-    r_t: float
     r_m: float
     A: float
-    kappa_at_rm: float
     boundary_max: bool = False
-    # reduced moments integrated on this slice, keyed by d; see
-    # quadrature.reduced_moment
+    # reduced moments integrated on this slice, keyed by d (quadrature.reduced_moment)
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.A > 0:
             raise NumericsError("slice amplitude must be positive")
-        if (not self.boundary_max and math.isfinite(self.r_t)
-                and not self.r_m < self.r_t * (1.0 + 1e-9)):
+
+    @cached_property
+    def r_t(self):
+        if self.boundary_max:
+            return self.r_m
+        r_t = _turning_point_of_v(self.p, self.E, self.r_m)
+        if math.isfinite(r_t) and not self.r_m < r_t * (1.0 + 1e-9):
             raise NumericsError("W maximum must not lie beyond the turning point")
+        return r_t
+
+    @cached_property
+    def kappa_at_rm(self):
+        return math.inf if self.boundary_max else float(self.p.kappa(self.r_m))
 
 
 _GRID_POINTS = 4097
@@ -826,7 +848,7 @@ def _turning_point_of_v(p, E, r_m):
 
 
 def analyze_slice(p, E):
-    """Locate the maximum of W and the classical turning point at energy E.
+    """Locate the maximum of W at energy E; r_t and kappa wait for first use.
 
     The maximum is bracketed on a log grid and polished by golden-section
     search; a boundary maximum (the hard wall's) comes from the family.
@@ -871,9 +893,7 @@ def analyze_slice(p, E):
     if abs(slope) > 1e-8 * a2:
         raise NumericsError(f"stationarity check failed at the W maximum: |W'| = {abs(slope):.3g}")
 
-    r_m = math.exp(rho_m)
-    r_t = _turning_point_of_v(p, E, r_m)
-    return EnergySlice(E=E, r_t=r_t, r_m=r_m, A=a, kappa_at_rm=float(p.kappa(r_m)))
+    return EnergySlice(p=p, E=E, r_m=math.exp(rho_m), A=a)
 
 
 def slice_cache(p):

@@ -13,7 +13,8 @@ Gauss-Kronrod quadrature is applied.  The W > 0 domain always extends to
 rho -> -infinity (and to +infinity at the continuum threshold of decaying
 tails); those ends are truncated where W falls below ``_TAIL_CUT * A^2``
 and closed with an exponential tail fitted to the last decade of W.
-Every integral runs at the fixed relative accuracy ``_REL_TOL``.
+Every integral runs at the fixed relative accuracy ``_REL_TOL`` on one
+energy slice ``s`` (``potentials.analyze_slice``), which carries p and E.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
 
 from .errors import Divergent, NoClassicalRegion
-from .potentials import analyze_slice
 
 __all__ = [
     "action_I",
@@ -48,7 +48,8 @@ def _quad(f, a, b):
     return val
 
 
-def _w_func(p, E):
+def _w_func(s):
+    p, E = s.p, s.E
     return lambda rho: float(p.W(E, rho))
 
 
@@ -104,7 +105,7 @@ def _classify_right(w, rho_m, cut_value, rho_ceil=None):
     first drops below ``cut_value`` while staying positive, or
     ("edge", rho_ceil) when a tabulated range ends first.
     """
-    w_lo = w(rho_m)
+    w_lo = math.inf
     for lo, hi, at_edge in _walk(rho_m, 1.0, rho_ceil,
                                  "right flank of W fails to decay below the truncation level"):
         w_hi = w(hi)
@@ -141,7 +142,7 @@ def _fitted_tail(w, rho_cut, w_cut, a2, d, rho_m, edge):
     return (w_cut / a2) ** (0.5 * d) * 2.0 / (d * alpha)
 
 
-def reduced_moment(p, E, d, _slice=None):
+def reduced_moment(s, d):
     """M_d / A^d: the moment of W normalised by its maximum.
 
     Computed once at ``_TAIL_CUT`` and once at ``_TAIL_CUT / 10`` whenever
@@ -151,17 +152,16 @@ def reduced_moment(p, E, d, _slice=None):
     """
     if d < 1.0:
         raise ValueError("moment order d must be >= 1")
-    s = _slice if _slice is not None else analyze_slice(p, E)
     if d not in s._moments:
-        s._moments[d] = _reduced_moment_refined(p, E, d, s)
+        s._moments[d] = _reduced_moment_refined(s, d)
     return s._moments[d]
 
 
-def _reduced_moment_refined(p, E, d, s):
-    first, truncated = _reduced_moment_parts(p, E, d, s, _TAIL_CUT)
+def _reduced_moment_refined(s, d):
+    first, truncated = _reduced_moment_parts(s, d, _TAIL_CUT)
     if not truncated:
         return first
-    second, _ = _reduced_moment_parts(p, E, d, s, _TAIL_CUT / 10.0)
+    second, _ = _reduced_moment_parts(s, d, _TAIL_CUT / 10.0)
     if abs(second - first) > 1e-6 * max(abs(first), abs(second)):
         raise Divergent(
             f"moment estimate does not stabilise under tail refinement "
@@ -169,14 +169,14 @@ def _reduced_moment_refined(p, E, d, s):
     return second
 
 
-def _reduced_moment_parts(p, E, d, s, cut):
+def _reduced_moment_parts(s, d, cut):
     """(value, had_truncated_tail) with tails closed below W = cut * A^2."""
-    w = _w_func(p, E)
+    w = _w_func(s)
     a2 = s.A * s.A
     rho_m = math.log(s.r_m)
     cut_value = cut * a2
 
-    floor, ceil = _rho_edges(p)
+    floor, ceil = _rho_edges(s.p)
 
     def g(rho):
         val = w(rho)
@@ -202,25 +202,24 @@ def _reduced_moment_parts(p, E, d, s, cut):
     return total, True
 
 
-def moment_M(p, E, d, _slice=None):
+def moment_M(s, d):
     """M_d(E) = integral of W^(d/2) over the W > 0 region (d may be real)."""
-    s = _slice if _slice is not None else analyze_slice(p, E)
-    return reduced_moment(p, E, d, _slice=s) * s.A**d
+    return reduced_moment(s, d) * s.A**d
 
 
-def bound_count_N(p, E, d, _slice=None):
+def bound_count_N(s, d):
     """Phase-space estimate of the number of bound states below E in d dimensions."""
     if d < 2:
         raise ValueError("bound-state estimate requires d >= 2")
     coeff = beta_fn(1.5, 0.5 * (d - 1.0)) / (math.pi * math.gamma(d - 1.0))
-    return coeff * moment_M(p, E, d, _slice=_slice)
+    return coeff * moment_M(s, d)
 
 
-def _turning_points(p, E, lam2, s, w):
+def _turning_points(s, lam2, w):
     """Roots of W = lam^2 around the maximum (right end may be the wall)."""
     rho_m = math.log(s.r_m)
     f = lambda x: w(x) - lam2
-    floor, ceil = _rho_edges(p)
+    floor, ceil = _rho_edges(s.p)
     rho1, _ = _root_left(w, rho_m, lam2, rho_floor=floor)
     if s.boundary_max:
         return rho1, math.log(s.r_t)
@@ -231,7 +230,7 @@ def _turning_points(p, E, lam2, s, w):
             return rho1, hi
 
 
-def action_I(p, E, lam, _slice=None):
+def action_I(s, lam):
     """Radial action (1/pi) integral sqrt(W - lam^2) drho between turning points.
 
     ``lam = 0`` reduces to the d = 1 moment over pi, which handles the
@@ -239,9 +238,8 @@ def action_I(p, E, lam, _slice=None):
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    s = _slice if _slice is not None else analyze_slice(p, E)
     if lam == 0.0:
-        return reduced_moment(p, E, 1.0, _slice=s) * s.A / math.pi
+        return reduced_moment(s, 1.0) * s.A / math.pi
     lam2 = lam * lam
     a2 = s.A * s.A
     if lam2 >= a2:
@@ -249,8 +247,8 @@ def action_I(p, E, lam, _slice=None):
             return 0.0
         raise NoClassicalRegion(
             f"no classical region: lambda = {lam:g} exceeds the well amplitude A = {s.A:g}")
-    w = _w_func(p, E)
-    rho1, rho2 = _turning_points(p, E, lam2, s, w)
+    w = _w_func(s)
+    rho1, rho2 = _turning_points(s, lam2, w)
     half = 0.5 * (rho2 - rho1)
     mid = 0.5 * (rho2 + rho1)
 
@@ -261,8 +259,6 @@ def action_I(p, E, lam, _slice=None):
     return _quad(integrand, 0.0, math.pi) / math.pi
 
 
-def nonlinearity_residual(p, E, lam, phi, _slice=None):
+def nonlinearity_residual(s, lam, phi):
     """q(E, lam) = I(E, 0) - I(E, lam) - phi*lam, the defect of the linear form."""
-    s = _slice if _slice is not None else analyze_slice(p, E)
-    n1 = action_I(p, E, 0.0, _slice=s)
-    return n1 - action_I(p, E, lam, _slice=s) - phi * lam
+    return action_I(s, 0.0) - action_I(s, lam) - phi * lam

@@ -122,9 +122,9 @@ def quantize_energy(p, level, mode="linear", _slice_at=None):
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
     slice_at = _slice_at if _slice_at is not None else slice_cache(p)
-    n1 = lambda E: action_I(p, E, 0.0, _slice=slice_at(E))
+    n1 = lambda E: action_I(slice_at(E), 0.0)
     nu, lam = level.nu, level.lam
-    phi_at = lambda E: phi_additive(p, E, level.d, _slice=slice_at(E))
+    phi_at = lambda E: phi_additive(slice_at(E), level.d)
 
     if lam == 0.0:
         E = _solve_inner(n1, lambda E: nu, p)
@@ -148,9 +148,7 @@ def quantize_energy(p, level, mode="linear", _slice_at=None):
     T = None
     for it in range(1, _OUTER_MAX + 1):
         s = slice_at(E)
-        c1 = chi_d(p, E, 1.0, _slice=s)
-        c_inf = chi_infinity(p, E, _slice=s)
-        t_here = teff_nonlinear(level, c1, c_inf, s.A)
+        t_here = teff_nonlinear(level, chi_d(s, 1.0), chi_infinity(s), s.A)
         if T is None:
             T = t_here
         else:

@@ -7,7 +7,8 @@ d and E (1 for the Coulomb well, 1/2 for the oscillator).  The slope
 ``phi`` weighting the angular quantum number in the effective quantum
 number T = nu + phi*lambda comes in four flavours (additive,
 multiplicative, asymptotic, Mellin-type); their mutual closeness is the
-quality diagnostic of the whole method.
+quality diagnostic of the whole method.  All but ``chi_profile`` take
+one energy slice ``s`` (``potentials.analyze_slice``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.special import betaln
 
 from .errors import NumericsError
 from .potentials import ScreenedCoulomb, analyze_slice
-from .quadrature import reduced_moment
+from .quadrature import _w_func, reduced_moment
 
 __all__ = [
     "chi_d",
@@ -41,24 +42,21 @@ def _beta(a, b):
     return math.exp(betaln(a, b))
 
 
-def chi_d(p, E, d, _slice=None):
+def chi_d(s, d):
     """Relative phase-space transform chi_d = M_d / (A^d B(d/2, 1/2)).
 
     Accepts non-integer d >= 1.  For integer d >= 2 the equivalent
     state-count form d! N_d / (2 A^d) reduces to the same expression
     through a beta-function identity.
     """
-    if d < 1:
-        raise ValueError("chi_d requires d >= 1")
-    s = _slice if _slice is not None else analyze_slice(p, E)
-    m_hat = reduced_moment(p, E, d, _slice=s)
-    return m_hat / _beta(0.5 * d, 0.5)
+    return reduced_moment(s, d) / _beta(0.5 * d, 0.5)
 
 
-def _second_derivative_at_max(p, E, rho_m, h=1e-3):
+def _second_derivative_at_max(s, h=1e-3):
     """W''(rho_m) by a five-point stencil, Richardson extrapolated once."""
+    w, rho_m = _w_func(s), math.log(s.r_m)
+
     def stencil(step):
-        w = lambda x: float(p.W(E, x))
         return (-w(rho_m - 2 * step) + 16 * w(rho_m - step) - 30 * w(rho_m)
                 + 16 * w(rho_m + step) - w(rho_m + 2 * step)) / (12 * step * step)
 
@@ -67,20 +65,17 @@ def _second_derivative_at_max(p, E, rho_m, h=1e-3):
     return (16.0 * d_h2 - d_h) / 15.0
 
 
-def chi_infinity_forms(p, E, _slice=None):
+def chi_infinity_forms(s):
     """(curvature form, convexity form) of the d -> infinity limit of chi_d.
 
     The curvature form is A sqrt(2/|W''|) at the maximum; stationarity
     makes it equal to 1/sqrt(kappa(r_m) + 2).  Hard walls have a boundary
     maximum, so both entries fall back to a numerical d -> infinity limit.
     """
-    s = _slice if _slice is not None else analyze_slice(p, E)
     if s.boundary_max:
-        lo = chi_d(p, E, 64.0, _slice=s)
-        hi = chi_d(p, E, 256.0, _slice=s)
-        limit = 2.0 * hi - lo  # one Richardson step in 1/sqrt(d)
+        limit = 2.0 * chi_d(s, 256.0) - chi_d(s, 64.0)  # one Richardson step in 1/sqrt(d)
         return limit, limit
-    w2 = _second_derivative_at_max(p, E, math.log(s.r_m))
+    w2 = _second_derivative_at_max(s)
     if w2 >= 0:
         raise NumericsError("W is not concave at its reported maximum")
     curvature = s.A * math.sqrt(2.0 / abs(w2))
@@ -88,18 +83,17 @@ def chi_infinity_forms(p, E, _slice=None):
     return curvature, convexity
 
 
-def chi_infinity(p, E, _slice=None):
+def chi_infinity(s):
     """Large-d limit of chi_d, by the curvature of W at its maximum.
 
     Cross-checked against the convexity-index form; the two must agree to
     1e-6 relative for analytic families (1e-3 for tabulated data, whose
     second derivatives come from finite differences).
     """
-    s = _slice if _slice is not None else analyze_slice(p, E)
-    curvature, convexity = chi_infinity_forms(p, E, _slice=s)
+    curvature, convexity = chi_infinity_forms(s)
     if s.boundary_max:
         return curvature
-    tol = 1e-3 if p.interpolated else 1e-6
+    tol = 1e-3 if s.p.interpolated else 1e-6
     if abs(curvature - convexity) > tol * abs(convexity):
         raise NumericsError(
             f"curvature ({curvature:.10g}) and convexity ({convexity:.10g}) forms "
@@ -117,24 +111,18 @@ def _multiplicative(c1, cd, d):
     return (c1**d / cd) ** (1.0 / (d - 1.0))
 
 
-def phi_additive(p, E, d, _slice=None):
+def phi_additive(s, d):
     """Basic slope estimator phi = chi_1 + (chi_1 - chi_d)/(d - 1)."""
     if not d > 1:
         raise ValueError("phi_additive requires d > 1")
-    s = _slice if _slice is not None else analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, _slice=s)
-    cd = chi_d(p, E, d, _slice=s)
-    return _additive(c1, cd, d)
+    return _additive(chi_d(s, 1.0), chi_d(s, d), d)
 
 
-def phi_multiplicative(p, E, d, _slice=None):
+def phi_multiplicative(s, d):
     """Multiplicative slope estimator (chi_1^d / chi_d)^(1/(d-1))."""
     if not d > 1:
         raise ValueError("phi_multiplicative requires d > 1")
-    s = _slice if _slice is not None else analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, _slice=s)
-    cd = chi_d(p, E, d, _slice=s)
-    return _multiplicative(c1, cd, d)
+    return _multiplicative(chi_d(s, 1.0), chi_d(s, d), d)
 
 
 def chi_power_law_closed(mu, d):
@@ -186,16 +174,14 @@ class AdiabaticCorrection:
     mu_m: float
 
 
-def adiabatic_correction(p, E, _slice=None):
+def adiabatic_correction(s):
     """Correction from the radial drift of kappa, evaluated at the W maximum.
 
     Identically zero for power laws (kappa is constant there).
     """
-    s = _slice if _slice is not None else analyze_slice(p, E)
     if s.boundary_max:
         raise NumericsError("adiabatic correction undefined for a boundary maximum")
-    r_m = s.r_m
-    mu_m = s.kappa_at_rm
+    p, r_m, mu_m = s.p, s.r_m, s.kappa_at_rm
     if p.scale_free:
         r_kprime = 0.0
     else:
@@ -242,11 +228,11 @@ class ChiProfile:
 def chi_profile(p, E, ds=(2, 3)):
     """Build the full transform profile at one energy for the requested d's."""
     s = analyze_slice(p, E)
-    c1 = chi_d(p, E, 1.0, _slice=s)
-    c_inf = chi_infinity(p, E, _slice=s)
+    c1 = chi_d(s, 1.0)
+    c_inf = chi_infinity(s)
     chis, phis, phims, phias, chidas, ratios, ss, ws = {}, {}, {}, {}, {}, {}, {}, {}
     for d in ds:
-        cd = chi_d(p, E, d, _slice=s)
+        cd = chi_d(s, d)
         phi = _additive(c1, cd, d)
         phi_m = _multiplicative(c1, cd, d)
         phi_as = c1 + (c1 - c_inf) / d
@@ -263,7 +249,7 @@ def chi_profile(p, E, ds=(2, 3)):
     if s.boundary_max:
         b1_add = phi_ad = mu_m = None
     else:
-        corr = adiabatic_correction(p, E, _slice=s)
+        corr = adiabatic_correction(s)
         b1_add, phi_ad, mu_m = corr.b1_add, corr.phi_add, corr.mu_m
     return ChiProfile(E=E, A=s.A, chi1=c1, chi_inf=c_inf, chi=chis,
                       phi_additive=phis, phi_mult=phims, phi_as=phias,

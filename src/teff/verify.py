@@ -241,7 +241,7 @@ def check_madelung():
     lines.append(f"  occupancies at phi=1.75: {occ}" + ("" if good else "  <-- off"))
     for kind in ("inv25", "tf"):
         p = parse_potential(f"screened:kind={kind},Z=1")
-        phi3 = phi_additive(p, 0.0, 3)
+        phi3 = phi_additive(analyze_slice(p, 0.0), 3)
         good = 5.0 / 3.0 < phi3 < 2.0
         ok &= good
         lines.append(f"  phi(3) for {kind}: {phi3:.4f} in (5/3, 2): {good}")
@@ -323,11 +323,11 @@ def _check_weighted_identity(lines):
         s = analyze_slice(p, E)
         lam = 0.5 * s.A * (nodes + 1.0)
         wts = 0.5 * s.A * weights
-        acts = np.array([action_I(p, E, float(x), _slice=s) for x in lam])
+        acts = np.array([action_I(s, float(x)) for x in lam])
         for d in (2, 3, 4):
             degs = np.array([leading_degeneracy(float(x), d) for x in lam])
             lhs = float(np.sum(wts * degs * acts))
-            rhs = bound_count_N(p, E, d, _slice=s)
+            rhs = bound_count_N(s, d)
             rel = abs(lhs / rhs - 1.0)
             good = rel <= 5e-3
             ok &= good
@@ -347,10 +347,9 @@ def _check_scale_invariance(lines):
             (parse_potential("quark:alpha=0.5,delta=1,B=3"), 1.5,
              parse_potential(f"quark:alpha=0.5,delta=1,B={c * 3.0}"))]
     for p, E, scaled in base:
-        chi_a = chi_d(p, E, 3)
-        phi_a = phi_additive(p, E, 3)
-        chi_b = chi_d(scaled, c * E, 3)
-        phi_b = phi_additive(scaled, c * E, 3)
+        s_a, s_b = analyze_slice(p, E), analyze_slice(scaled, c * E)
+        chi_a, phi_a = chi_d(s_a, 3), phi_additive(s_a, 3)
+        chi_b, phi_b = chi_d(s_b, 3), phi_additive(s_b, 3)
         rel = max(abs(chi_b / chi_a - 1.0), abs(phi_b / phi_a - 1.0))
         good = rel <= 1e-8
         ok &= good
@@ -358,10 +357,10 @@ def _check_scale_invariance(lines):
                      + ("" if good else "  <-- off"))
     # r -> a r relabelling realised inside the power-law family
     for a in (2.0, 0.5):
-        p1 = PowerLaw(b=1.0, mu=1.5)
-        p2 = PowerLaw(b=a ** 1.5, mu=1.5)
-        rel = max(abs(chi_d(p2, 1.1, 3) / chi_d(p1, 1.1, 3) - 1.0),
-                  abs(phi_additive(p2, 1.1, 3) / phi_additive(p1, 1.1, 3) - 1.0))
+        s1 = analyze_slice(PowerLaw(b=1.0, mu=1.5), 1.1)
+        s2 = analyze_slice(PowerLaw(b=a ** 1.5, mu=1.5), 1.1)
+        rel = max(abs(chi_d(s2, 3) / chi_d(s1, 3) - 1.0),
+                  abs(phi_additive(s2, 3) / phi_additive(s1, 3) - 1.0))
         good = rel <= 1e-8
         ok &= good
         lines.append(f"  r -> {a} r relabelling: {rel:.2e}" + ("" if good else "  <-- off"))
@@ -378,7 +377,7 @@ def _check_chi_inf_forms(lines):
              (parse_potential("screened:kind=tf,Z=1"), 0.0),
              (parse_potential("quark:alpha=0.5,delta=1,B=3"), 2.0)]
     for p, E in cases:
-        cur, con = chi_infinity_forms(p, E)
+        cur, con = chi_infinity_forms(analyze_slice(p, E))
         rel = abs(cur / con - 1.0)
         good = rel <= 1e-6
         ok &= good
@@ -391,9 +390,9 @@ def _check_b1_extraction(lines):
     ok = True
     for mu in (1.0, 3.0):
         p = PowerLaw(b=1.0, mu=mu)
-        E = p.reference_energy()
+        s = analyze_slice(p, p.reference_energy())
         chi_inf = 1.0 / math.sqrt(mu + 2.0)
-        seq = {d: d * (chi_d(p, E, float(d)) / chi_inf - 1.0) for d in (16, 32)}
+        seq = {d: d * (chi_d(s, float(d)) / chi_inf - 1.0) for d in (16, 32)}
         # only even inverse powers are absent from the series, so one
         # Richardson step in 1/d^2 leaves an O(1/d^3) remainder
         b1_est = (4.0 * seq[32] - seq[16]) / 3.0

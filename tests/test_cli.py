@@ -228,6 +228,11 @@ class TestExitCodes:
          "--lmax", "0"],
         ["spectrum", "--potential", "power:b=-1,mu=-1", "--enumerate", "--emax", "0",
          "--lmax", "0"],
+        # family energy scales that divide by zero or overflow
+        ["spectrum", "--potential", "wall:R=1e-300", "--levels", "0:0"],
+        ["spectrum", "--potential", "wall:R=1e300", "--levels", "0:0"],
+        ["spectrum", "--potential", "screened:kind=exp,Z=1e300", "--levels", "0:0"],
+        ["diagram", "--potential", "wall:R=1e-300"],
     ])
     def test_bad_argument_is_2(self, args):
         # run as the installed script would be, so a traceback would show
@@ -240,6 +245,14 @@ class TestExitCodes:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_short_energy_grid_is_2(self, n, capsys):
+        # one point leaves no spacing, and none would draw an empty curve
+        assert main(["diagram", "--potential", "screened:kind=exp,Z=1",
+                     "--e-grid", f"-1:-0.1:{n}"]) == 2
+        err = capsys.readouterr().err
+        assert "n >= 2" in err and "Traceback" not in err
 
     def test_cap_at_accumulation_point_is_rejected_at_once(self):
         # Coulomb levels pile up at E = 0: no level is solved before the exit

@@ -260,7 +260,7 @@ class TestDiagram:
         assert diagram.crossings
         for x in diagram.crossings[:6]:
             p = parse_potential(x.curve_label)
-            n1 = action_I(p, x.E, 0.0)
+            n1 = action_I(analyze_slice(p, x.E), 0.0)
             assert n1 == pytest.approx(x.t_value, rel=1e-8)
 
     def test_csv_round_trip(self, diagram):

@@ -16,10 +16,15 @@ from teff import (
     PotentialError,
     PowerLaw,
     Quarkonium,
+    QuantumLevel,
     ScreenedCoulomb,
     Tabulated,
     analyze_slice,
+    chi_profile,
+    diagram_data,
+    ordering_theorem_signs,
     parse_potential,
+    quantize_energy,
     tf_initial_slope,
     tf_screening,
 )
@@ -248,6 +253,50 @@ class TestAnalyzeSlice:
         sa = analyze_slice(ana, -0.1)
         assert st.A == pytest.approx(sa.A, rel=1e-7)
         assert st.r_m == pytest.approx(sa.r_m, rel=1e-5)
+
+
+def _no_turning_point(*args):
+    raise AssertionError("the turning point of V was computed")
+
+
+class TestLazyGeometry:
+    @pytest.mark.parametrize("spec,E,grid", [
+        ("screened:kind=exp,Z=50", -2.0, (-800.0, -200.0, -50.0, -10.0, -2.0)),
+        ("quark:alpha=0.5,delta=1,B=3", 2.0, (-6.0, -1.0, 1.0, 3.0, 6.0)),
+    ])
+    def test_pipeline_never_reads_the_turning_point(self, monkeypatch, spec, E, grid):
+        levels = [QuantumLevel(0, 1, 3), QuantumLevel(1, 0, 3)]
+
+        def outputs():
+            p = parse_potential(spec)
+            return (chi_profile(p, E), quantize_energy(p, QuantumLevel(1, 1, 3)),
+                    diagram_data(levels, (0.1, 2.2), [(p, list(grid))]))
+
+        expected = outputs()
+        assert expected[2].crossings
+        monkeypatch.setattr(potentials, "_turning_point_of_v", _no_turning_point)
+        assert outputs() == expected
+
+    def test_sign_theorems_compute_the_turning_point_once(self, monkeypatch):
+        calls = []
+        original = potentials._turning_point_of_v
+
+        def counted(p, E, r_m):
+            calls.append(E)
+            return original(p, E, r_m)
+
+        monkeypatch.setattr(potentials, "_turning_point_of_v", counted)
+        ordering_theorem_signs(PowerLaw(b=1.0, mu=1.0), 1.0)
+        assert calls == [1.0]
+        s = analyze_slice(PowerLaw(b=1.0, mu=1.0), 1.0)
+        assert s.r_t == s.r_t == pytest.approx(1.0, rel=1e-12)
+        assert calls == [1.0, 1.0]
+
+    def test_hard_wall_geometry_comes_from_the_wall(self, monkeypatch):
+        monkeypatch.setattr(potentials, "_turning_point_of_v", _no_turning_point)
+        s = analyze_slice(HardWall(R=1.5), 2.0)
+        assert s.r_t == 1.5
+        assert s.kappa_at_rm == math.inf
 
 
 class TestThomasFermi:

@@ -27,30 +27,30 @@ from teff.ordering import leading_degeneracy
 class TestAction:
     def test_oscillator_linearity(self, oscillator):
         # V = r^2/2 has I = E/2 - lam/2 at unit frequency
-        assert action_I(oscillator, 4.5, 1.5) == pytest.approx(1.5, abs=1e-9)
-        assert action_I(oscillator, 4.5, 0.0) == pytest.approx(2.25, abs=1e-9)
+        assert action_I(analyze_slice(oscillator, 4.5), 1.5) == pytest.approx(1.5, abs=1e-9)
+        assert action_I(analyze_slice(oscillator, 4.5), 0.0) == pytest.approx(2.25, abs=1e-9)
 
     def test_coulomb_closed_form(self, coulomb):
         # I = Z/sqrt(-2E) - lam
-        assert action_I(coulomb, -0.125, 1.5) == pytest.approx(0.5, abs=1e-9)
-        assert action_I(coulomb, -0.5, 0.25) == pytest.approx(0.75, abs=1e-9)
+        assert action_I(analyze_slice(coulomb, -0.125), 1.5) == pytest.approx(0.5, abs=1e-9)
+        assert action_I(analyze_slice(coulomb, -0.5), 0.25) == pytest.approx(0.75, abs=1e-9)
 
     def test_degenerate_interval(self, coulomb):
         s = analyze_slice(coulomb, -0.5)
-        assert action_I(coulomb, -0.5, s.A) == 0.0
+        assert action_I(analyze_slice(coulomb, -0.5), s.A) == 0.0
 
     def test_no_classical_region(self, coulomb):
         with pytest.raises(NoClassicalRegion):
-            action_I(coulomb, -0.5, 1.5)
+            action_I(analyze_slice(coulomb, -0.5), 1.5)
 
     def test_monotone_in_energy(self, yukawa):
         es = [-0.4, -0.3, -0.2, -0.1]
-        vals = [action_I(yukawa, e, 0.3) for e in es]
+        vals = [action_I(analyze_slice(yukawa, e), 0.3) for e in es]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_decreasing_in_lambda(self, yukawa):
         lams = [0.0, 0.2, 0.4, 0.6]
-        vals = [action_I(yukawa, -0.1, x) for x in lams]
+        vals = [action_I(analyze_slice(yukawa, -0.1), x) for x in lams]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_hard_wall_action(self):
@@ -59,40 +59,41 @@ class TestAction:
         E, lam = 2.0, 0.5
         a = math.sqrt(2 * E)
         exact = (math.sqrt(a * a - lam * lam) - lam * math.acos(lam / a)) / math.pi
-        assert action_I(wall, E, lam) == pytest.approx(exact, rel=1e-9)
+        assert action_I(analyze_slice(wall, E), lam) == pytest.approx(exact, rel=1e-9)
 
 
 class TestMoments:
     def test_box_closed_form(self):
         wall = parse_potential("wall:R=1")
-        assert moment_M(wall, 2.0, 3) == pytest.approx(8.0 / 3.0, rel=1e-10)
-        assert bound_count_N(wall, 2.0, 3) == pytest.approx(16.0 / (9.0 * math.pi), rel=1e-10)
+        assert moment_M(analyze_slice(wall, 2.0), 3) == pytest.approx(8.0 / 3.0, rel=1e-10)
+        assert bound_count_N(analyze_slice(wall, 2.0), 3) == pytest.approx(
+            16.0 / (9.0 * math.pi), rel=1e-10)
 
     def test_coulomb_m1_is_pi_n1(self, coulomb):
         # d = 1 continuation: M_1 = pi * I(E, 0) = pi * Z / sqrt(-2E)
-        assert moment_M(coulomb, -0.5, 1) == pytest.approx(math.pi, rel=1e-9)
-        assert moment_M(coulomb, -0.125, 1) == pytest.approx(2.0 * math.pi, rel=1e-9)
+        assert moment_M(analyze_slice(coulomb, -0.5), 1) == pytest.approx(math.pi, rel=1e-9)
+        assert moment_M(analyze_slice(coulomb, -0.125), 1) == pytest.approx(2.0 * math.pi, rel=1e-9)
 
     def test_oscillator_ratio_energy_free(self):
         # chi_3 = M_3/(A^3 B(3/2,1/2)) = 1/2 for any E
         p = PowerLaw(b=1.0, mu=2.0)
         for E in (0.5, 2.0, 7.0):
             s = analyze_slice(p, E)
-            ratio = moment_M(p, E, 3) / (s.A**3 * beta_fn(1.5, 0.5))
+            ratio = moment_M(analyze_slice(p, E), 3) / (s.A**3 * beta_fn(1.5, 0.5))
             assert ratio == pytest.approx(0.5, rel=1e-9)
 
     def test_yukawa_threshold_closed_form(self, yukawa):
         # M_d at E = 0 for g = e^(-r): (2Z)^(d/2) Gamma(d/2) (2/d)^(d/2)
         for d in (1.0, 2.0, 3.0, 4.5):
             exact = 2.0 ** (0.5 * d) * gamma_fn(0.5 * d) * (2.0 / d) ** (0.5 * d)
-            assert moment_M(yukawa, 0.0, d) == pytest.approx(exact, rel=1e-8)
+            assert moment_M(analyze_slice(yukawa, 0.0), d) == pytest.approx(exact, rel=1e-8)
 
     def test_inverse_square_threshold(self):
         # g = (1+r)^-2 at E = 0: M_d = (2Z)^(d/2) B(d/2, d/2)
         p = parse_potential("screened:kind=inv2,Z=1")
         for d in (1.0, 2.0, 3.0):
             exact = 2.0 ** (0.5 * d) * beta_fn(0.5 * d, 0.5 * d)
-            assert moment_M(p, 0.0, d) == pytest.approx(exact, rel=1e-8)
+            assert moment_M(analyze_slice(p, 0.0), d) == pytest.approx(exact, rel=1e-8)
 
     def test_scale_covariance(self):
         # V -> cV, E -> cE multiplies M_d by c^(d/2)
@@ -100,19 +101,19 @@ class TestMoments:
         p1 = PowerLaw(b=1.0, mu=1.0)
         p2 = PowerLaw(b=c, mu=1.0)
         for d in (1, 2, 3):
-            m1 = moment_M(p1, 0.8, d)
-            m2 = moment_M(p2, c * 0.8, d)
+            m1 = moment_M(analyze_slice(p1, 0.8), d)
+            m2 = moment_M(analyze_slice(p2, c * 0.8), d)
             assert m2 == pytest.approx(c ** (0.5 * d) * m1, rel=1e-8)
 
     def test_divergent_flagged(self):
         # a screened well above threshold has no convergent moment
         with pytest.raises((Divergent, NoClassicalRegion)):
-            moment_M(parse_potential("screened:kind=exp,Z=5"), 0.5, 3)
+            moment_M(analyze_slice(parse_potential("screened:kind=exp,Z=5"), 0.5), 3)
 
     def test_n2_is_half_m2(self, yukawa):
         # B(3/2, 1/2) = pi/2 collapses the d = 2 prefactor to 1/2
-        assert bound_count_N(yukawa, -0.1, 2) == pytest.approx(
-            0.5 * moment_M(yukawa, -0.1, 2), rel=1e-12)
+        assert bound_count_N(analyze_slice(yukawa, -0.1), 2) == pytest.approx(
+            0.5 * moment_M(analyze_slice(yukawa, -0.1), 2), rel=1e-12)
 
     def test_slice_keeps_each_d_apart(self, yukawa):
         # a slice stores one moment per d: a second call on the same slice
@@ -120,9 +121,9 @@ class TestMoments:
         s = analyze_slice(yukawa, -0.1)
         stored = {}
         for d in (1, 3):
-            stored[d] = reduced_moment(yukawa, -0.1, d, _slice=s)
-            assert stored[d] == reduced_moment(yukawa, -0.1, d)
-            assert reduced_moment(yukawa, -0.1, d, _slice=s) == stored[d]
+            stored[d] = reduced_moment(s, d)
+            assert stored[d] == reduced_moment(analyze_slice(yukawa, -0.1), d)
+            assert reduced_moment(s, d) == stored[d]
         assert s._moments == stored
         assert stored[1] != stored[3]
 
@@ -160,9 +161,10 @@ _TABLE_PINS = {
 
 
 def _table_quantities(t, E):
-    return (lambda: reduced_moment(t, E, 1.0), lambda: reduced_moment(t, E, 3.0),
-            lambda: action_I(t, E, 0.5),
-            lambda: action_I(t, E, 0.9 * analyze_slice(t, E).A))
+    return (lambda: reduced_moment(analyze_slice(t, E), 1.0),
+            lambda: reduced_moment(analyze_slice(t, E), 3.0),
+            lambda: action_I(analyze_slice(t, E), 0.5),
+            lambda: action_I(analyze_slice(t, E), 0.9 * analyze_slice(t, E).A))
 
 
 class TestTableEdges:
@@ -196,9 +198,9 @@ class TestTableEdges:
             seen.add(kind)
             return kind, rho
 
-        def record_turning(p, *args):
-            rho1, rho2 = turning(p, *args)
-            seen.add(("ceiling", rho2 == math.log(p.domain()[1])))
+        def record_turning(s, *args):
+            rho1, rho2 = turning(s, *args)
+            seen.add(("ceiling", rho2 == math.log(s.p.domain()[1])))
             return rho1, rho2
 
         monkeypatch.setattr(quadrature, "_root_left", record_left)
@@ -216,16 +218,16 @@ class TestTableEdges:
 
 class TestNonlinearity:
     def test_reference_wells_are_linear(self, coulomb, oscillator):
-        assert abs(nonlinearity_residual(coulomb, -0.5, 0.5, 1.0)) < 1e-9
-        assert abs(nonlinearity_residual(oscillator, 4.5, 1.5, 0.5)) < 1e-9
+        assert abs(nonlinearity_residual(analyze_slice(coulomb, -0.5), 0.5, 1.0)) < 1e-9
+        assert abs(nonlinearity_residual(analyze_slice(oscillator, 4.5), 1.5, 0.5)) < 1e-9
 
     def test_screened_residual_small_but_nonzero(self):
         p = parse_potential("screened:kind=exp,Z=50")
         s = analyze_slice(p, 0.0)
         from teff.transforms import phi_additive
 
-        phi = phi_additive(p, 0.0, 3, _slice=s)
-        q = nonlinearity_residual(p, 0.0, 2.0, phi, _slice=s)
+        phi = phi_additive(s, 3)
+        q = nonlinearity_residual(s, 2.0, phi)
         # frozen regression value; documents the linearity quality at lam = 2
         # (about 1.6% of N_1(0) = 7.99 for this well)
         assert q == pytest.approx(-0.13001, abs=2e-4)
@@ -240,11 +242,11 @@ class TestWeightedIdentity:
         nodes, weights = roots_legendre(64)
         lam = 0.5 * s.A * (nodes + 1.0)
         wts = 0.5 * s.A * weights
-        acts = np.array([action_I(p, E, float(x), _slice=s) for x in lam])
+        acts = np.array([action_I(s, float(x)) for x in lam])
         for d in (2, 3, 4):
             degs = np.array([leading_degeneracy(float(x), d) for x in lam])
             lhs = float(np.sum(wts * degs * acts))
-            assert lhs == pytest.approx(bound_count_N(p, E, d, _slice=s), rel=5e-3)
+            assert lhs == pytest.approx(bound_count_N(s, d), rel=5e-3)
 
     def test_screened(self):
         p = parse_potential("screened:kind=exp,Z=50")
@@ -253,8 +255,8 @@ class TestWeightedIdentity:
         nodes, weights = roots_legendre(64)
         lam = 0.5 * s.A * (nodes + 1.0)
         wts = 0.5 * s.A * weights
-        acts = np.array([action_I(p, E, float(x), _slice=s) for x in lam])
+        acts = np.array([action_I(s, float(x)) for x in lam])
         for d in (2, 3, 4):
             degs = np.array([leading_degeneracy(float(x), d) for x in lam])
             lhs = float(np.sum(wts * degs * acts))
-            assert lhs == pytest.approx(bound_count_N(p, E, d, _slice=s), rel=5e-3)
+            assert lhs == pytest.approx(bound_count_N(s, d), rel=5e-3)

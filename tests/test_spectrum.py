@@ -10,6 +10,7 @@ from teff import (
     NoBoundState,
     PowerLaw,
     QuantumLevel,
+    analyze_slice,
     enumerate_bound_states,
     exact_reference_spectrum,
     parse_potential,
@@ -301,8 +302,8 @@ class TestOneRootPerLevel:
         lvl = QuantumLevel(0, 2, 3)
         with pytest.raises(NoBoundState) as info:
             quantize_energy(p, lvl)
-        t_top = lvl.nu + phi_additive(p, 0.0, 3) * lvl.lam
-        n_top = action_I(p, 0.0, 0.0)
+        t_top = lvl.nu + phi_additive(analyze_slice(p, 0.0), 3) * lvl.lam
+        n_top = action_I(analyze_slice(p, 0.0), 0.0)
         assert n_top < t_top
         assert str(info.value) == f"T = {t_top:g} exceeds the well capacity N1(0) = {n_top:g}"
 
@@ -320,5 +321,5 @@ class TestOneRootPerLevel:
             entry = quantize_energy(p, lvl)
         except NoBoundState:
             return
-        assert entry.T == lvl.nu + phi_additive(p, entry.E, d) * lvl.lam
+        assert entry.T == lvl.nu + phi_additive(analyze_slice(p, entry.E), d) * lvl.lam
         assert entry.residual <= 1e-9 * max(1.0, entry.T)

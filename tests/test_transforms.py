@@ -9,6 +9,7 @@ from scipy.special import gamma as gamma_fn
 from teff import (
     PowerLaw,
     adiabatic_correction,
+    analyze_slice,
     b_coefficients,
     chi_d,
     chi_infinity,
@@ -26,19 +27,19 @@ class TestChiD:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("E", [-0.2, -0.5, -2.0])
     def test_coulomb_unity(self, coulomb, d, E):
-        assert chi_d(coulomb, E, d) == pytest.approx(1.0, abs=1e-6)
+        assert chi_d(analyze_slice(coulomb, E), d) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("E", [0.5, 1.0, 3.0])
     def test_oscillator_half(self, d, E):
         p = PowerLaw(b=1.0, mu=2.0)
-        assert chi_d(p, E, d) == pytest.approx(0.5, abs=1e-6)
+        assert chi_d(analyze_slice(p, E), d) == pytest.approx(0.5, abs=1e-6)
 
     def test_non_integer_d(self, yukawa):
         # smooth in d: the half-integer value sits between its neighbours
-        v2 = chi_d(yukawa, 0.0, 2.0)
-        v25 = chi_d(yukawa, 0.0, 2.5)
-        v3 = chi_d(yukawa, 0.0, 3.0)
+        v2 = chi_d(analyze_slice(yukawa, 0.0), 2.0)
+        v25 = chi_d(analyze_slice(yukawa, 0.0), 2.5)
+        v3 = chi_d(analyze_slice(yukawa, 0.0), 3.0)
         assert v2 < v25 < v3
 
     def test_smooth_monotone_in_d(self):
@@ -46,7 +47,7 @@ class TestChiD:
                         ("screened:kind=exp,Z=1", 0.0)):
             p = parse_potential(spec)
             ds = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-            vals = [chi_d(p, E, d) for d in ds]
+            vals = [chi_d(analyze_slice(p, E), d) for d in ds]
             diffs = [b - a for a, b in zip(vals, vals[1:])]
             assert all(x > 0 for x in diffs) or all(x < 0 for x in diffs)
 
@@ -63,7 +64,7 @@ class TestChiD:
             p = PowerLaw(b=1.0 if mu > 0 else -1.0, mu=mu)
             E = p.reference_energy()
             for d in (1, 2, 3, 4.5):
-                assert chi_d(p, E, d) == pytest.approx(
+                assert chi_d(analyze_slice(p, E), d) == pytest.approx(
                     chi_power_law_closed(mu, d), rel=1e-8)
 
 
@@ -94,16 +95,17 @@ class TestChiInfinity:
     def test_power_law(self):
         for mu in (1.0, 3.0):
             p = PowerLaw(b=1.0, mu=mu)
-            assert chi_infinity(p, 1.0) == pytest.approx(1.0 / math.sqrt(mu + 2.0), rel=1e-8)
+            assert chi_infinity(analyze_slice(p, 1.0)) == pytest.approx(
+                1.0 / math.sqrt(mu + 2.0), rel=1e-8)
 
     def test_inverse_square_is_two(self):
         p = parse_potential("screened:kind=inv2,Z=1")
-        assert chi_infinity(p, 0.0) == pytest.approx(2.0, rel=1e-8)
+        assert chi_infinity(analyze_slice(p, 0.0)) == pytest.approx(2.0, rel=1e-8)
 
     def test_inv25_closed_form(self):
         # kappa(r_m) = -1.7 at threshold, so the limit is 1/sqrt(0.3)
         p = parse_potential("screened:kind=inv25,Z=1")
-        assert chi_infinity(p, 0.0) == pytest.approx(1.0 / math.sqrt(0.3), rel=1e-8)
+        assert chi_infinity(analyze_slice(p, 0.0)) == pytest.approx(1.0 / math.sqrt(0.3), rel=1e-8)
 
     def test_thomas_fermi_threshold(self):
         # Independent of teff's TF solver: integrate Phi'' = Phi^(3/2)/sqrt(x)
@@ -129,34 +131,35 @@ class TestChiInfinity:
         expected = math.sqrt(2.0 / (2.0 - x_m ** 1.5 * math.sqrt(phi_m)))
         assert expected == pytest.approx(1.937679, rel=1e-6)
         p = parse_potential("screened:kind=tf,Z=1")
-        assert chi_infinity(p, 0.0) == pytest.approx(expected, rel=1e-5)
+        assert chi_infinity(analyze_slice(p, 0.0)) == pytest.approx(expected, rel=1e-5)
 
     def test_forms_agree(self, yukawa):
-        cur, con = chi_infinity_forms(yukawa, -0.1)
+        cur, con = chi_infinity_forms(analyze_slice(yukawa, -0.1))
         assert cur == pytest.approx(con, rel=1e-6)
 
     def test_hard_wall_limit_route(self):
         wall = parse_potential("wall:R=1")
-        assert abs(chi_infinity(wall, 2.0)) < 2e-3
+        assert abs(chi_infinity(analyze_slice(wall, 2.0))) < 2e-3
 
 
 class TestPhiEstimators:
     def test_reference_values(self, coulomb, oscillator):
         for d in (2, 3, 5):
-            assert phi_additive(coulomb, -0.5, d) == pytest.approx(1.0, abs=1e-8)
-            assert phi_additive(oscillator, 1.0, d) == pytest.approx(0.5, abs=1e-8)
-            assert phi_multiplicative(coulomb, -0.5, d) == pytest.approx(1.0, abs=1e-8)
+            assert phi_additive(analyze_slice(coulomb, -0.5), d) == pytest.approx(1.0, abs=1e-8)
+            assert phi_additive(analyze_slice(oscillator, 1.0), d) == pytest.approx(0.5, abs=1e-8)
+            assert phi_multiplicative(analyze_slice(coulomb, -0.5), d) == pytest.approx(
+                1.0, abs=1e-8)
 
     def test_yukawa_threshold(self, yukawa):
-        assert phi_additive(yukawa, 0.0, 3) == pytest.approx(1.286, abs=2e-3)
-        assert phi_multiplicative(yukawa, 0.0, 3) == pytest.approx(1.286, abs=2e-3)
+        assert phi_additive(analyze_slice(yukawa, 0.0), 3) == pytest.approx(1.286, abs=2e-3)
+        assert phi_multiplicative(analyze_slice(yukawa, 0.0), 3) == pytest.approx(1.286, abs=2e-3)
 
     def test_monotone_decreasing_in_mu(self):
         mus = [-1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 6.0]
         vals = []
         for mu in mus:
             p = PowerLaw(b=1.0 if mu > 0 else -1.0, mu=mu)
-            vals.append(phi_additive(p, p.reference_energy(), 3))
+            vals.append(phi_additive(analyze_slice(p, p.reference_energy()), 3))
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_multiplicative_bounds_additive(self):
@@ -165,7 +168,8 @@ class TestPhiEstimators:
                         ("screened:kind=inv25,Z=1", -0.1)):
             p = parse_potential(spec)
             for d in (2, 3):
-                r = phi_multiplicative(p, E, d) / phi_additive(p, E, d)
+                r = (phi_multiplicative(analyze_slice(p, E), d)
+                     / phi_additive(analyze_slice(p, E), d))
                 assert 1.0 - 1e-9 <= r < 1.01
 
     def test_approximations_mu1(self):
@@ -206,19 +210,19 @@ class TestBCoefficients:
 
 class TestAdiabatic:
     def test_power_law_exactly_zero(self):
-        corr = adiabatic_correction(PowerLaw(b=1.0, mu=2.5), 1.0)
+        corr = adiabatic_correction(analyze_slice(PowerLaw(b=1.0, mu=2.5), 1.0))
         assert corr.b1_add == 0.0 and corr.phi_add == 0.0
         assert corr.mu_m == 2.5
 
     def test_coulomb(self, coulomb):
-        corr = adiabatic_correction(coulomb, -0.5)
+        corr = adiabatic_correction(analyze_slice(coulomb, -0.5))
         assert corr.b1_add == 0.0 and corr.mu_m == -1.0
 
     def test_quark_small_at_high_energy(self):
         p = parse_potential("quark:alpha=0.1,delta=3,B=10")
         E = 200.0
-        corr = adiabatic_correction(p, E)
-        phi = phi_additive(p, E, 3)
+        corr = adiabatic_correction(analyze_slice(p, E))
+        phi = phi_additive(analyze_slice(p, E), 3)
         assert abs(corr.phi_add / phi) < 0.05
 
 
