@@ -84,6 +84,12 @@ def teff_nonlinear(level, chi1, chi_inf, A):
         raise LambdaTooSmall("non-linear form needs lambda > 0")
     if lam / A < 0.05:
         raise LambdaTooSmall(f"lambda/A = {lam / A:.3g} < 0.05")
+    return _mellin_t(level, chi1, chi_inf, A)
+
+
+def _mellin_t(level, chi1, chi_inf, A):
+    """The formula of ``teff_nonlinear`` without its validity guards."""
+    lam = level.lam
     return level.nu + chi1 * lam + (chi1 - chi_inf) * lam * math.log(lam / A)
 
 
@@ -115,6 +121,7 @@ def leading_degeneracy(lam, d):
 
 
 _ORBITAL_LETTERS = "spdfghiklmnoqrtuvwxyz"
+_PHI_SAMPLES = 11  # points on each level line of the diagram
 
 
 def spectroscopic_label(n_r, l, d=3):
@@ -149,29 +156,31 @@ class ShellSequence:
 
 
 def shell_sequence(phi, d, count, spin=1):
-    """First ``count`` shells of the T-ordering at slope phi."""
-    if not phi > 0:
-        raise ValueError("phi must be positive")
+    """First ``count`` shells of the T-ordering at slope phi, a heap merge
+    of the l channels by (T, l, n_r): T rises with n_r in a channel, and
+    channel l + 1 opens when its predecessor (0, l) leaves the heap."""
+    if not 0.0 < phi < math.inf:
+        raise ValueError("phi must be positive and finite")
     if count < 1:
         raise ValueError("count must be >= 1")
-    n_max = count + 2
-    l_max = int(math.ceil((count + 2) / phi)) + 2
-    candidates = []
-    for n_r in range(n_max + 1):
-        for l in range(l_max + 1):
-            lvl = QuantumLevel(n_r, l, d)
-            candidates.append((teff(lvl, phi), l, n_r))
-    candidates.sort()
-    picked = candidates[:count]
+    import heapq
 
+    key = lambda n_r, l: (teff(QuantumLevel(n_r, l, d), phi), l, n_r)
+    heap = [key(0, 0)]
+    picked = []
+    while len(picked) < count:
+        t, l, n_r = heapq.heappop(heap)
+        picked.append((t, l, n_r))
+        heapq.heappush(heap, key(n_r + 1, l))
+        if n_r == 0:
+            heapq.heappush(heap, key(0, l + 1))
+
+    close = lambda a, b: math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
     entries = []
     cumulative = 0
     for idx, (t, l, n_r) in enumerate(picked):
-        tied = False
-        if idx > 0 and math.isclose(t, picked[idx - 1][0], rel_tol=1e-12, abs_tol=1e-12):
-            tied = True
-        if idx + 1 < len(picked) and math.isclose(t, picked[idx + 1][0], rel_tol=1e-12, abs_tol=1e-12):
-            tied = True
+        tied = (idx > 0 and close(t, picked[idx - 1][0])) or \
+            (idx + 1 < len(picked) and close(t, picked[idx + 1][0]))
         deg = degeneracy(l, d, spin)
         cumulative += deg
         entries.append(ShellEntry(n_r=n_r, l=l, label=spectroscopic_label(n_r, l, d),
@@ -340,7 +349,7 @@ def _curve_point(s, d):
     return phi_additive(s, d), chi_d(s, 1.0) * s.A
 
 
-def diagram_data(levels, phi_range, curve_specs, d=3, phi_samples=11):
+def diagram_data(levels, phi_range, curve_specs, d=3):
     """Assemble the universal diagram.
 
     ``curve_specs`` is a sequence of (potential, energy grid) pairs; bad
@@ -351,7 +360,7 @@ def diagram_data(levels, phi_range, curve_specs, d=3, phi_samples=11):
     phi_lo, phi_hi = phi_range
     if not (0.0 < phi_lo < phi_hi <= 2.5):
         raise ValueError("phi range must satisfy 0 < lo < hi <= 2.5")
-    phis = np.linspace(phi_lo, phi_hi, max(2, phi_samples))
+    phis = np.linspace(phi_lo, phi_hi, _PHI_SAMPLES)
     lines = tuple(
         DiagramLine(label=spectroscopic_label(lvl.n_r, lvl.l, d), n_r=lvl.n_r, l=lvl.l,
                     points=tuple((float(f), teff(lvl, float(f))) for f in phis))

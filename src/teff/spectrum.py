@@ -7,7 +7,8 @@ inside T = nu + phi lambda depends on E for screened and mixed wells, so
 each level is one bracketed root of F(E) = N_1(E) - nu - phi(E) lambda,
 with N_1 and phi taken from the same slice at every probe.  For pure
 power laws and the hard wall phi is E-independent, and at lambda = 0 it
-drops out, so there T is a constant.
+drops out, so there T is a constant.  The non-linear mode solves the
+Mellin form of T as the same kind of root.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from scipy.optimize import brentq
 
 import numpy as np
 
-from .errors import NoBoundState, NoConvergence
-from .ordering import QuantumLevel, teff_nonlinear
+from .errors import LambdaTooSmall, NoBoundState, NoConvergence
+from .ordering import QuantumLevel, _mellin_t, teff_nonlinear
 from .potentials import PowerLaw, slice_cache
 from .quadrature import action_I
 from .transforms import chi_d, chi_infinity, phi_additive
@@ -90,16 +91,12 @@ def _solve_inner(n1, target, p, xtol=2e-12):
         lo = _expand(f, -1.0, 4.0, -1, "on the deep side")
     else:
         # confining wells bounded below: E in (floor, inf)
+        # the doublings from floor + 1 = 1 span the float range up to 2^1022
         hi = _expand(f, floor + max(abs(floor), 1.0), 2.0, 1, "above the well bottom",
-                     origin=floor)
+                     origin=floor, tries=1023)
         lo = _expand(f, floor + (hi - floor) * 0.5, 0.25, -1, "near the well bottom",
                      origin=floor)
     return brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200)
-
-
-_DAMPING = 0.5
-_OUTER_TOL = 1e-9
-_OUTER_MAX = 50
 
 
 def quantize_energy(p, level, mode="linear", _slice_at=None):
@@ -115,17 +112,27 @@ def quantize_energy(p, level, mode="linear", _slice_at=None):
     probe with F < 0 and the ceiling (the only one there in 96 screened
     wells sampled with l <= 4).
 
-    ``"nonlinear"`` replaces the right side with the Mellin form built from
-    (chi_1, chi_inf, A) at the current energy iterate, a fixed point on T
-    seeded from the linear root.
+    ``"nonlinear"`` solves N_1(E) = T(E) the same way, with T the Mellin
+    form built from (chi_1, chi_inf, A) on the slice of each probe.  Its
+    validity bound lambda/A >= 0.05 is checked at the root only: the
+    shallow probes have A -> inf.
     """
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
     slice_at = _slice_at if _slice_at is not None else slice_cache(p)
     n1 = lambda E: action_I(slice_at(E), 0.0)
     nu, lam = level.nu, level.lam
-    phi_at = lambda E: phi_additive(slice_at(E), level.d)
 
+    if mode == "nonlinear":
+        if lam == 0.0:
+            raise LambdaTooSmall("non-linear form needs lambda > 0")
+        terms = lambda E: (chi_d(slice_at(E), 1.0), chi_infinity(slice_at(E)), slice_at(E).A)
+        E = _solve_inner(n1, lambda E: _mellin_t(level, *terms(E)), p, xtol=1e-300)
+        T = teff_nonlinear(level, *terms(E))
+        return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
+                             mode=mode, phi=None, iterations=1, residual=abs(n1(E) - T))
+
+    phi_at = lambda E: phi_additive(slice_at(E), level.d)
     if lam == 0.0:
         E = _solve_inner(n1, lambda E: nu, p)
         phi = phi_at(E)
@@ -139,32 +146,9 @@ def quantize_energy(p, level, mode="linear", _slice_at=None):
         E = _solve_inner(n1, lambda E: nu + phi_at(E) * lam, p, xtol=1e-300)
         phi = phi_at(E)
 
-    if mode == "linear":
-        T = nu + phi * lam
-        return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
-                             mode=mode, phi=phi, iterations=1, residual=abs(n1(E) - T))
-
-    # non-linear mode: seed from the linear solution, then fixed point on T
-    T = None
-    for it in range(1, _OUTER_MAX + 1):
-        s = slice_at(E)
-        t_here = teff_nonlinear(level, chi_d(s, 1.0), chi_infinity(s), s.A)
-        if T is None:
-            T = t_here
-        else:
-            T = T + _DAMPING * (t_here - T)
-        E_new = _solve_inner(n1, lambda E: T, p)
-        if abs(t_here - T) <= _OUTER_TOL * max(1.0, abs(T)) and \
-                abs(E_new - E) <= 1e-10 * max(1.0, abs(E)):
-            E = E_new
-            break
-        E = E_new
-    else:
-        raise NoConvergence(f"non-linear quantization did not settle for {level}")
-    residual = abs(n1(E) - T)
+    T = nu + phi * lam
     return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
-                         mode="nonlinear", phi=None, iterations=1 + it,
-                         residual=residual)
+                         mode=mode, phi=phi, iterations=1, residual=abs(n1(E) - T))
 
 
 def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
@@ -213,7 +197,10 @@ class ScalingReport:
     convexity_ok: bool
 
 
-def power_law_scaling_check(b, mu, d, levels, slope_tol=1e-3):
+_SLOPE_TOL = 1e-3  # largest accepted error of the fitted log E / log T slope
+
+
+def power_law_scaling_check(b, mu, d, levels):
     """Fit E proportional to T^(2 mu/(mu+2)) over the given levels and check
     the sign of the second difference of E(0, l) against sgn(mu - 2)."""
     if not mu > 0:
@@ -234,6 +221,6 @@ def power_law_scaling_check(b, mu, d, levels, slope_tol=1e-3):
     expected_sign = 1 if mu > 2 else (-1 if mu < 2 else 0)
     convexity_ok = all(s == expected_sign for s in signs) if signs else True
     return ScalingReport(slope=slope, expected_slope=expected,
-                         slope_ok=abs(slope - expected) <= slope_tol,
+                         slope_ok=abs(slope - expected) <= _SLOPE_TOL,
                          convexity_signs=tuple(signs), expected_sign=expected_sign,
                          convexity_ok=convexity_ok)

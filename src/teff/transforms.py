@@ -257,16 +257,19 @@ def chi_profile(p, E, ds=(2, 3)):
                       b1_add=b1_add, phi_adiabatic=phi_ad, mu_m=mu_m)
 
 
-def screened_deep_energy(p, variation=1e-4):
+_DEEP_VARIATION = 1e-4
+
+
+def screened_deep_energy(p):
     """Energy deep enough that the screening varies by less than
-    ``variation`` inside the classical region, making the well
+    ``_DEEP_VARIATION`` inside the classical region, making the well
     operationally Coulomb-like."""
     if not isinstance(p, ScreenedCoulomb):
         raise ValueError("deep-energy helper applies to screened wells only")
     from scipy.optimize import brentq
 
     g = p.screening.g
-    target = lambda r: (1.0 - float(g(r))) - variation
+    target = lambda r: (1.0 - float(g(r))) - _DEEP_VARIATION
     r_hi = 1e-12
     while target(r_hi) < 0:
         r_hi *= 4.0

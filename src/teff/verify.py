@@ -157,7 +157,7 @@ def check_deep_limit():
     lines = []
     for kind in ("exp", "inv2", "inv25", "tf"):
         p = parse_potential(f"screened:kind={kind},Z=1")
-        e_deep = screened_deep_energy(p, variation=1e-4)
+        e_deep = screened_deep_energy(p)
         vals = _profile_columns(p, e_deep)
         worst = max(abs(v - 1.0) for v in vals)
         good = worst <= 1e-3
@@ -294,7 +294,7 @@ def check_approximation_quality():
     for kind in ("exp", "inv2", "inv25", "tf"):
         p = parse_potential(f"screened:kind={kind},Z=1")
         cases.append((f"screened:kind={kind},Z=1",
-                      (0.0, screened_deep_energy(p, variation=1e-4))))
+                      (0.0, screened_deep_energy(p))))
     ok = True
     lines = []
     for spec, energies in cases:

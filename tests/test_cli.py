@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import teff
+from teff import cli as cli_module
 from teff.cli import cli, main
+from teff.ordering import ShellEntry, ShellSequence, degeneracy, spectroscopic_label
 
 MADELUNG = ["1s", "2s", "2p", "3s", "3p", "4s", "3d", "4p", "5s", "4d", "5p", "6s", "4f"]
 
@@ -46,6 +49,54 @@ class TestOrder:
         assert len(obj["rows"]) == 8
         # full precision in JSON: at least six significant digits survive
         assert abs(obj["rows"][0]["T"] - (0.5 + 0.3333 * 0.5)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_heap_merge_matches_full_sort(self, runner, monkeypatch, d):
+        # the exact tie slopes 1/3, 1/2, 2/3, 1, 2 exercise the tie flags
+        grid = [0.25, 1 / 3, 0.37, 0.5, 2 / 3, 0.87, 1.0, 1.3, 1.75, 2.0, 2.5]
+        for phi in grid:
+            for count in (1, 2, 13, 60, 300):
+                args = ["order", "--phi", repr(phi), "--d", str(d), "--count", str(count)]
+                outputs = []
+                for fmt in ("csv", "json"):
+                    outputs.append(runner.invoke(cli, [*args, "--format", fmt]).output)
+                reference = _sorted_shell_sequence(phi, d, count)
+                with monkeypatch.context() as m:
+                    m.setattr(cli_module, "shell_sequence", lambda *a, **k: reference)
+                    for fmt in ("csv", "json"):
+                        outputs.append(runner.invoke(cli, [*args, "--format", fmt]).output)
+                assert outputs[:2] == outputs[2:], (phi, count)
+
+    def test_tiny_phi_ends_at_once(self):
+        # a full sort would build (count + 3) (count + 2) / phi candidates
+        start = time.perf_counter()
+        assert main(["order", "--phi", "1e-300", "--count", "3"]) == 0
+        assert time.perf_counter() - start < 1.0
+
+
+def _sorted_shell_sequence(phi, d, count, spin=1):
+    """The shell sequence as a sort of every candidate shell that can be
+    among the first ``count``; the reference for the heap merge."""
+    n_max = count + 2
+    l_max = int(math.ceil((count + 2) / phi)) + 2
+    lam = [l + 0.5 * (d - 2) for l in range(l_max + 1)]  # as QuantumLevel.lam
+    candidates = sorted(((n_r + 0.5) + phi * lam[l], l, n_r)
+                        for n_r in range(n_max + 1) for l in range(l_max + 1))
+    picked = candidates[:count]
+
+    entries = []
+    cumulative = 0
+    for idx, (t, l, n_r) in enumerate(picked):
+        tied = False
+        if idx > 0 and math.isclose(t, picked[idx - 1][0], rel_tol=1e-12, abs_tol=1e-12):
+            tied = True
+        if idx + 1 < len(picked) and math.isclose(t, picked[idx + 1][0], rel_tol=1e-12, abs_tol=1e-12):
+            tied = True
+        deg = degeneracy(l, d, spin)
+        cumulative += deg
+        entries.append(ShellEntry(n_r=n_r, l=l, label=spectroscopic_label(n_r, l, d),
+                                  T=t, degeneracy=deg, cumulative=cumulative, tied=tied))
+    return ShellSequence(phi=phi, d=d, spin=spin, entries=tuple(entries))
 
 
 class TestChiTable:
@@ -178,6 +229,21 @@ class TestSpectrum:
         assert runner.invoke(cli, _YUKAWA50_ENUMERATION).exit_code == 0
         assert len(slice_counts) <= 400
 
+    def test_hard_wall_level_near_float_max(self):
+        # the ground state 2.32014 / R^2 lies far above a fixed bracket budget;
+        # the level scales exactly as 1/R^2
+        ground = teff.quantize_energy(teff.HardWall(R=1.0), teff.QuantumLevel(0, 0, 3)).E
+        src = os.path.dirname(os.path.dirname(teff.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "teff.cli", "spectrum", "--potential",
+                               "wall:R=1e-150", "--levels", "0:0", "--format", "json"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert ground == pytest.approx(2.32014, abs=5e-6)
+        assert json.loads(proc.stdout)["rows"][0]["E"] == pytest.approx(ground * 1e300, rel=1e-6)
+
     def test_enumerate_needs_emax(self, runner):
         result = runner.invoke(cli, ["spectrum", "--potential", "wall:R=1",
                                      "--enumerate"])
@@ -220,6 +286,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["order", "--phi", "-1", "--count", "3"],
         ["order", "--phi", "1", "--count", "0"],
+        ["order", "--phi", "inf", "--count", "3"],
         ["diagram", "--potential", "power:b=1,mu=2", "--phi-max", "3"],
         ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "nan",
          "--lmax", "0"],

@@ -7,6 +7,7 @@ from scipy.special import ai_zeros
 
 from teff import spectrum
 from teff import (
+    LambdaTooSmall,
     NoBoundState,
     PowerLaw,
     QuantumLevel,
@@ -17,9 +18,10 @@ from teff import (
     power_law_scaling_check,
     quantize_energy,
     solve_bound_state,
+    teff_nonlinear,
 )
 from teff.quadrature import action_I
-from teff.transforms import phi_additive
+from teff.transforms import chi_d, chi_infinity, phi_additive
 
 
 class TestReferenceExactness:
@@ -106,6 +108,14 @@ class TestScreened:
         assert entry.phi < 1.1
 
 
+_SCREENED = st.builds(lambda kind, Z: parse_potential(f"screened:kind={kind},Z={Z:.6g}"),
+                      st.sampled_from(["exp", "inv2", "inv25", "tf"]),
+                      st.floats(1.0, 60.0))
+_QUARK = st.builds(lambda a, delta, B: parse_potential(
+                       f"quark:alpha={a:.6g},delta={delta:.6g},B={B:.6g}"),
+                   st.floats(0.1, 0.9), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
+
+
 class TestNonlinearMode:
     def test_runs_and_is_close_to_linear(self):
         p = PowerLaw(b=1.0, mu=1.0)
@@ -124,6 +134,54 @@ class TestNonlinearMode:
     def test_bad_mode(self, coulomb):
         with pytest.raises(ValueError):
             quantize_energy(coulomb, QuantumLevel(0, 0, 3), mode="other")
+
+    @pytest.mark.parametrize("spec,n_r,l,d,E", [
+        # a damped fixed point on T did not settle on these three levels
+        ("screened:kind=inv2,Z=45.2", 2, 0, 3, -48.8385),
+        ("screened:kind=tf,Z=60", 1, 0, 4, -86.7395),
+        ("screened:kind=exp,Z=50", 2, 3, 3, -1.25657),
+    ])
+    def test_one_root_solves_hard_levels(self, spec, n_r, l, d, E):
+        p = parse_potential(spec)
+        entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode="nonlinear")
+        assert entry.E == pytest.approx(E, rel=1e-5)
+        _assert_self_consistent(p, entry)
+
+    @settings(max_examples=12, deadline=None)
+    @given(p=st.one_of(_SCREENED, _QUARK), d=st.integers(2, 4), n_r=st.integers(0, 3),
+           l=st.integers(0, 4))
+    def test_t_is_self_consistent(self, p, d, n_r, l):
+        lvl = QuantumLevel(n_r, l, d)
+        try:
+            entry = quantize_energy(p, lvl, mode="nonlinear")
+        except (NoBoundState, LambdaTooSmall):
+            return
+        _assert_self_consistent(p, entry)
+
+    def test_lambda_zero_is_rejected_before_solving(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("a root was solved")
+
+        monkeypatch.setattr(spectrum, "_solve_inner", solve)
+        with pytest.raises(LambdaTooSmall, match="^non-linear form needs lambda > 0$"):
+            quantize_energy(parse_potential("screened:kind=exp,Z=10"), QuantumLevel(0, 0, 2),
+                            mode="nonlinear")
+
+    def test_enumeration(self):
+        states = enumerate_bound_states(parse_potential("screened:kind=exp,Z=50"), -0.05, 3, 2,
+                                        mode="nonlinear")
+        assert len(states) >= 10
+        assert [s.E for s in states] == sorted(s.E for s in states)
+        assert all(s.residual <= 1e-9 * max(1.0, s.T) for s in states)
+
+
+def _assert_self_consistent(p, entry):
+    """One root of N_1(E) = T(E), with T the guarded Mellin form at that root."""
+    s = analyze_slice(p, entry.E)
+    lvl = QuantumLevel(entry.n_r, entry.l, entry.d)
+    assert entry.T == teff_nonlinear(lvl, chi_d(s, 1.0), chi_infinity(s), s.A)
+    assert entry.residual <= 1e-9 * max(1.0, entry.T)
+    assert entry.iterations == 1
 
 
 class TestScalingCheck:
@@ -263,14 +321,6 @@ _SAME_LEVEL = [
     ("quark:alpha=0.5,delta=1,B=3", 0, 3, 3, 4.591008434119401),
     ("quark:alpha=0.5,delta=1,B=3", 2, 1, 3, 5.504617523655067),
 ]
-
-_SCREENED = st.builds(lambda kind, Z: parse_potential(f"screened:kind={kind},Z={Z:.6g}"),
-                      st.sampled_from(["exp", "inv2", "inv25", "tf"]),
-                      st.floats(1.0, 60.0))
-_QUARK = st.builds(lambda a, delta, B: parse_potential(
-                       f"quark:alpha={a:.6g},delta={delta:.6g},B={B:.6g}"),
-                   st.floats(0.1, 0.9), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
-
 
 class TestOneRootPerLevel:
     """Linear mode solves N_1(E) = nu + phi(E) lambda as one bracketed root."""

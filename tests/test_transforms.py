@@ -258,7 +258,7 @@ class TestProfile:
 
 class TestDeepEnergy:
     def test_columns_approach_unity(self, yukawa):
-        e_deep = screened_deep_energy(yukawa, variation=1e-4)
+        e_deep = screened_deep_energy(yukawa)
         prof = chi_profile(yukawa, e_deep, ds=(2, 3))
         for v in (prof.chi1, prof.chi[2], prof.chi[3], prof.chi_inf,
                   prof.phi_additive[3], prof.phi_mult[3]):
