@@ -16,17 +16,19 @@ location r_m.  ``analyze_slice`` packages it as an ``EnergySlice``, whose
 ``r_t`` and ``kappa_at_rm`` are lazy (computed on first use).
 
 ``W``, ``V`` and the screenings' ``g`` keep a float a float (the point-wise
-quadratures build no 0-d ndarray) and turn anything else into an ndarray,
-with the same bits: ``+ - * /`` are IEEE-exact either way, and each ``exp``,
-``log`` and ``power`` stays a numpy ufunc, as ``math.exp`` and Python's
-``**`` round differently in a few per cent of inputs (``(1 + r) ** -2``
-ran on a numpy scalar, i.e. libm's pow, which Python's ``**`` calls too).
+root and maximum searches build no 0-d ndarray) and turn anything else into
+an ndarray.  Both paths give the same bits, which lets the quadratures
+evaluate W on arrays of nodes: ``+ - * /`` are IEEE-exact either way, and
+each ``exp``, ``log`` and ``power`` is a numpy ufunc on both paths, which
+rounds a float as it rounds an array element.  ``math.exp`` and Python's
+``**`` (libm's pow) would round differently in a few per cent of inputs.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,7 +109,7 @@ class InversePowerScreening(Screening):
         self.k = k
 
     def g(self, r):
-        return (1.0 + _point(r)) ** -self.k
+        return np.power(1.0 + _point(r), -self.k)
 
     def dg(self, r):
         return -self.k * (1.0 + np.asarray(r, dtype=float)) ** -(self.k + 1.0)
@@ -577,6 +579,9 @@ class HardWall(Potential):
         if E <= 0:
             raise NoClassicalRegion("a hard-wall well has no states at E <= 0")
         a = math.sqrt(2.0 * E) * self.R
+        if not math.isfinite(a):  # 2E overflows above ~9e307
+            raise NumericsError(f"{self.spec_string()}: amplitude sqrt(2E) R at E = {E:g} "
+                                "is not a finite number")
         return EnergySlice(p=self, E=E, r_m=self.R, A=a, boundary_max=True)
 
     def asymptotic_value(self):
@@ -664,11 +669,16 @@ class Tabulated(Potential):
 def load_table(path):
     """Read a two-column whitespace table (r, V); '#' starts a comment."""
     try:
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # numpy only warns about a file without data rows
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(path, comments="#", ndmin=2)
     except OSError as exc:
         raise PotentialError(f"cannot read table file: {exc}") from exc
     except ValueError as exc:
         raise PotentialError(f"malformed table file {path}: {exc}") from exc
+    except UserWarning as exc:
+        raise PotentialError(f"table file {path} holds no data") from exc
     if data.shape[1] != 2:
         raise PotentialError(f"table file {path} must have exactly two columns")
     return Tabulated(data[:, 0], data[:, 1], source=str(path))
@@ -749,8 +759,10 @@ class EnergySlice:
     r_m: float
     A: float
     boundary_max: bool = False
-    # reduced moments integrated on this slice, keyed by d (quadrature.reduced_moment)
+    # reduced moments integrated on this slice, keyed by d, and their flank
+    # geometry, keyed by the tail cut (quadrature.reduced_moment)
     _moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _flanks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.A > 0:

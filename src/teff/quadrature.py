@@ -15,12 +15,21 @@ tails); those ends are truncated where W falls below ``_TAIL_CUT * A^2``
 and closed with an exponential tail fitted to the last decade of W.
 Every integral runs at the fixed relative accuracy ``_REL_TOL`` on one
 energy slice ``s`` (``potentials.analyze_slice``), which carries p and E.
+
+The adaptive rule is scipy's QAGS, whose 21-node Kronrod panels are
+predicted (``_quad``): W is evaluated once per panel, on an array, and the
+rest of each integrand stays scalar float arithmetic in a fixed order, so
+every value has the bits of a point-by-point evaluation.  The flank
+geometry of the moments (roots, cuts and fitted decay rates), which does
+not depend on d, is found once per slice and cut and kept on the slice.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
@@ -41,9 +50,57 @@ _TAIL_CUT = 1e-12  # W / A^2 below which a tail is closed analytically
 _MARCH_LIMIT = 600.0  # furthest distance (in rho) we chase a decaying tail
 _MAX_SUBDIVISIONS = 200
 
+# QUADPACK dqk21's Kronrod abscissae on [-1, 1], xgk(1) ... xgk(10); the
+# eleventh is the centre
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122)
+
+
+def _panel_nodes(lo, hi):
+    """The 21 abscissae dqk21 asks for on [lo, hi], in its order: the
+    centre, then centr -/+ hlgth*xgk(j) for the Gauss nodes j = 2, 4, ...,
+    10 and then for the Kronrod nodes j = 1, 3, ..., 9."""
+    centr = 0.5 * (lo + hi)
+    hlgth = 0.5 * (hi - lo)
+    xs = [centr]
+    for x in _XGK[1::2] + _XGK[::2]:
+        absc = hlgth * x
+        xs += (centr - absc, centr + absc)
+    return xs
+
 
 def _quad(f, a, b):
-    val, _ = quad(f, a, b, epsabs=0.0, epsrel=0.1 * _REL_TOL,
+    """QAGS integral on [a, b] of the batch integrand ``f``, which maps a
+    list of abscissae to the list of integrand values.
+
+    QAGS evaluates the panel [a, b] and then only bisects panels it has
+    evaluated, asking for each panel's centre first.  So a request at the
+    centre of a half of an evaluated panel evaluates that half's 21 nodes
+    with one call of ``f``, and the next 20 requests are served from them;
+    a request nothing predicted is evaluated alone, so no value depends on
+    the prediction.
+    """
+    halves = {0.5 * (a + b): (a, b)}  # centre -> (lo, hi) of a panel QAGS may ask for
+    ready = {}  # abscissa -> value on the panel being evaluated
+
+    def one(x):
+        val = ready.get(x)
+        if val is not None:
+            return val
+        panel = halves.pop(x, None)
+        if panel is None:
+            return f([x])[0]
+        lo, hi = panel
+        nodes = _panel_nodes(lo, hi)
+        ready.clear()
+        ready.update(zip(nodes, f(nodes)))
+        halves[0.5 * (lo + x)] = (lo, x)
+        halves[0.5 * (x + hi)] = (x, hi)
+        return ready[x]
+
+    val, _ = quad(one, a, b, epsabs=0.0, epsrel=0.1 * _REL_TOL,
                   limit=_MAX_SUBDIVISIONS)
     return val
 
@@ -51,6 +108,25 @@ def _quad(f, a, b):
 def _w_func(s):
     p, E = s.p, s.E
     return lambda rho: float(p.W(E, rho))
+
+
+def _w_many(s):
+    """W on the slice at a list of rho, as a list of floats (one array call)."""
+    p, E = s.p, s.E
+    return lambda rhos: p.W(E, np.array(rhos)).tolist()
+
+
+def _cos_mapped(f, lo, hi):
+    """The batch integrand ``f`` of rho on [lo, hi] as one of theta on
+    [0, pi], with rho = mid + half cos(theta) and the factor half sin(theta)."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+
+    def mapped(thetas):
+        vals = f([mid + half * math.cos(th) for th in thetas])
+        return [v * half * math.sin(th) for v, th in zip(vals, thetas)]
+
+    return mapped
 
 
 def _rho_edges(p):
@@ -120,15 +196,16 @@ def _classify_right(w, rho_m, cut_value, rho_ceil=None):
         w_lo = w_hi
 
 
-def _fitted_tail(w, rho_cut, w_cut, a2, d, rho_m, edge):
-    """Tail integral of (W/A^2)^(d/2) beyond a truncation point.
+def _tail_fit(w, rho_cut, rho_m, edge):
+    """(w_cut, alpha): W at a truncation point and the decay rate of W
+    beyond it, fitted over the last decade of W.
 
-    The decay rate is fitted over the last decade of W, assuming locally
-    exponential behaviour in rho (exact for every in-scope family near
-    the origin, and for power-like tails in r).  The walk to W = 10 w_cut
-    heads for the maximum at ``rho_m``, and may stop at the range ``edge``
-    beyond it.
+    Assumes locally exponential behaviour in rho (exact for every in-scope
+    family near the origin, and for power-like tails in r).  The walk to
+    W = 10 w_cut heads for the maximum at ``rho_m``, and may stop at the
+    range ``edge`` beyond it.
     """
+    w_cut = w(rho_cut)
     f = lambda x: w(x) - 10.0 * w_cut
     sign = 1.0 if rho_cut < rho_m else -1.0
     for near, far, _ in _walk(rho_cut, sign, edge, "cannot fit a decay rate to the W tail"):
@@ -138,8 +215,56 @@ def _fitted_tail(w, rho_cut, w_cut, a2, d, rho_m, edge):
         if sign * (far - rho_m) > 0:
             raise Divergent("cannot fit a decay rate to the W tail: the truncation "
                             "point lies within a decade of the W maximum")
-    alpha = math.log(10.0) / abs(rho_dec - rho_cut)
+    return w_cut, math.log(10.0) / abs(rho_dec - rho_cut)
+
+
+def _tail(fit, a2, d):
+    """Tail integral of (W/A^2)^(d/2) beyond a truncation point fitted by
+    ``_tail_fit``."""
+    w_cut, alpha = fit
     return (w_cut / a2) ** (0.5 * d) * 2.0 / (d * alpha)
+
+
+class _Flanks(NamedTuple):
+    """The moments' geometry on one slice at one cut, the same for every d.
+
+    Both flanks start at the maximum ``rho_m`` = ln r_m.  The left one is
+    integrated from ``rho_a`` (``clamped`` when that is a tabulated range
+    edge) and closed by the tail ``left``.  The right one ends at ``rho_b``:
+    a zero of W ("zero"), the wall ("wall"), or a cut ("cut") or range edge
+    ("edge") closed by the tail ``right``.
+    """
+
+    rho_m: float
+    rho_a: float
+    clamped: bool
+    left: tuple
+    kind: str
+    rho_b: float
+    right: tuple | None
+
+
+def _flanks(s, cut):
+    """The ``_Flanks`` of slice s with tails closed below W = cut * A^2,
+    found once per slice and cut."""
+    fl = s._flanks.get(cut)
+    if fl is None:
+        fl = s._flanks[cut] = _find_flanks(s, cut)
+    return fl
+
+
+def _find_flanks(s, cut):
+    w = _w_func(s)
+    rho_m = math.log(s.r_m)
+    cut_value = cut * (s.A * s.A)
+    floor, ceil = _rho_edges(s.p)
+    rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
+    left = _tail_fit(w, rho_a, rho_m, ceil)
+    if s.boundary_max:
+        return _Flanks(rho_m, rho_a, clamped, left, "wall", math.log(s.r_t), None)
+    kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
+    right = None if kind == "zero" else _tail_fit(w, rho_b, rho_m, floor)
+    return _Flanks(rho_m, rho_a, clamped, left, kind, rho_b, right)
 
 
 def reduced_moment(s, d):
@@ -158,10 +283,13 @@ def reduced_moment(s, d):
 
 
 def _reduced_moment_refined(s, d):
-    first, truncated = _reduced_moment_parts(s, d, _TAIL_CUT)
+    a2, power = s.A * s.A, 0.5 * d
+    w = _w_many(s)
+    g = lambda rhos: [(v / a2) ** power if v > 0.0 else 0.0 for v in w(rhos)]
+    first, truncated, exact = _reduced_moment_parts(s, d, g, _TAIL_CUT)
     if not truncated:
         return first
-    second, _ = _reduced_moment_parts(s, d, _TAIL_CUT / 10.0)
+    second, _, _ = _reduced_moment_parts(s, d, g, _TAIL_CUT / 10.0, exact)
     if abs(second - first) > 1e-6 * max(abs(first), abs(second)):
         raise Divergent(
             f"moment estimate does not stabilise under tail refinement "
@@ -169,37 +297,28 @@ def _reduced_moment_refined(s, d):
     return second
 
 
-def _reduced_moment_parts(s, d, cut):
-    """(value, had_truncated_tail) with tails closed below W = cut * A^2."""
-    w = _w_func(s)
+def _reduced_moment_parts(s, d, g, cut, exact=None):
+    """(value, had_truncated_tail, exact) of the integral of the batch
+    integrand g = (W/A^2)^(d/2), with tails closed below W = cut * A^2.
+
+    ``exact`` is the right-flank integral up to a zero of W or the wall,
+    which no cut moves (None when the flank is cut); passed back in, it is
+    reused.
+    """
+    fl = _flanks(s, cut)
     a2 = s.A * s.A
-    rho_m = math.log(s.r_m)
-    cut_value = cut * a2
-
-    floor, ceil = _rho_edges(s.p)
-
-    def g(rho):
-        val = w(rho)
-        return (val / a2) ** (0.5 * d) if val > 0.0 else 0.0
-
-    rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
-    total = _quad(g, rho_a, rho_m)
-    total += _fitted_tail(w, rho_a, w(rho_a), a2, d, rho_m, ceil)
-
-    if s.boundary_max:
-        total += _quad(g, rho_m, math.log(s.r_t))
-        return total, clamped
-
-    kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
-    if kind == "zero":
-        half = 0.5 * (rho_b - rho_m)
-        mid = 0.5 * (rho_b + rho_m)
-        total += _quad(lambda th: g(mid + half * math.cos(th)) * half * math.sin(th),
-                       0.0, math.pi)
-        return total, clamped
-    total += _quad(g, rho_m, rho_b)
-    total += _fitted_tail(w, rho_b, w(rho_b), a2, d, rho_m, floor)
-    return total, True
+    total = _quad(g, fl.rho_a, fl.rho_m)
+    total += _tail(fl.left, a2, d)
+    if fl.right is not None:
+        total += _quad(g, fl.rho_m, fl.rho_b)
+        total += _tail(fl.right, a2, d)
+        return total, True, None
+    if exact is None:
+        if fl.kind == "wall":
+            exact = _quad(g, fl.rho_m, fl.rho_b)
+        else:
+            exact = _quad(_cos_mapped(g, fl.rho_m, fl.rho_b), 0.0, math.pi)
+    return total + exact, fl.clamped, exact
 
 
 def moment_M(s, d):
@@ -247,16 +366,14 @@ def action_I(s, lam):
             return 0.0
         raise NoClassicalRegion(
             f"no classical region: lambda = {lam:g} exceeds the well amplitude A = {s.A:g}")
-    w = _w_func(s)
-    rho1, rho2 = _turning_points(s, lam2, w)
-    half = 0.5 * (rho2 - rho1)
-    mid = 0.5 * (rho2 + rho1)
+    rho1, rho2 = _turning_points(s, lam2, _w_func(s))
+    w = _w_many(s)
 
-    def integrand(theta):
-        val = w(mid + half * math.cos(theta)) - lam2
-        return math.sqrt(val) * half * math.sin(theta) if val > 0.0 else 0.0
+    def root_excess(rhos):
+        excess = [v - lam2 for v in w(rhos)]
+        return [math.sqrt(v) if v > 0.0 else 0.0 for v in excess]
 
-    return _quad(integrand, 0.0, math.pi) / math.pi
+    return _quad(_cos_mapped(root_excess, rho1, rho2), 0.0, math.pi) / math.pi
 
 
 def nonlinearity_residual(s, lam, phi):

@@ -24,6 +24,16 @@ def runner():
     return CliRunner()
 
 
+def _run_script(*args):
+    """The CLI run as the installed script would be, so a traceback or a
+    warning would show on its stderr."""
+    src = os.path.dirname(os.path.dirname(teff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "teff.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestOrder:
     def test_madelung_csv(self, runner):
         result = runner.invoke(cli, ["order", "--phi", "1.75", "--d", "3",
@@ -233,12 +243,8 @@ class TestSpectrum:
         # the ground state 2.32014 / R^2 lies far above a fixed bracket budget;
         # the level scales exactly as 1/R^2
         ground = teff.quantize_energy(teff.HardWall(R=1.0), teff.QuantumLevel(0, 0, 3)).E
-        src = os.path.dirname(os.path.dirname(teff.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "teff.cli", "spectrum", "--potential",
-                               "wall:R=1e-150", "--levels", "0:0", "--format", "json"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_script("spectrum", "--potential", "wall:R=1e-150", "--levels", "0:0",
+                           "--format", "json")
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert ground == pytest.approx(2.32014, abs=5e-6)
@@ -302,16 +308,26 @@ class TestExitCodes:
         ["diagram", "--potential", "wall:R=1e-300"],
     ])
     def test_bad_argument_is_2(self, args):
-        # run as the installed script would be, so a traceback would show
-        src = os.path.dirname(os.path.dirname(teff.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "teff.cli", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_script(*args)
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_wall_amplitude_overflow_is_3(self):
+        # sqrt(2E) R overflows at the reference energy 1/R^2 ~ 1e308
+        proc = _run_script("spectrum", "--potential", "wall:R=1e-154", "--levels", "0:0")
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("body", ["", "# r V\n"])
+    def test_table_without_data_is_2(self, body, tmp_path):
+        path = tmp_path / "empty.dat"
+        path.write_text(body)
+        proc = _run_script("chi-table", "--potential", f"table:path={path}", "--energy", "-0.1")
+        assert proc.returncode == 2
+        assert "holds no data" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_short_energy_grid_is_2(self, n, capsys):

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -345,6 +347,17 @@ class TestThomasFermi:
         assert len(built) == 1
         assert len(set(slopes)) == 1
 
+    def test_import_builds_no_table(self):
+        # the table is built on first use, never by the import
+        src = os.path.dirname(os.path.dirname(potentials.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = "import teff; print(teff.potentials._TF_SOLUTION is None)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
     def test_far_tail(self):
         # inverse-cube asymptote, anchored at the table edge where the
         # true screening sits ~1% below the raw asymptotic coefficient
@@ -396,6 +409,21 @@ _POINT_WELLS = st.one_of(
 )
 
 
+# a Yukawa Z = 2 table, drawn on inside its range
+_TABLE_R = np.geomspace(1e-4, 40.0, 400)
+_TABLE = Tabulated(_TABLE_R, -2.0 * np.exp(-_TABLE_R) / _TABLE_R)
+
+
+def _rho_list(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=48)
+
+
+_ARRAY_CASES = st.one_of(
+    st.tuples(_POINT_WELLS, _rho_list(-20.0, 20.0)),
+    st.tuples(st.just(_TABLE), _rho_list(math.log(1e-4), math.log(40.0))),
+)
+
+
 _POINT_SPECS = ["power:b=1,mu=1.5", "power:b=-1,mu=-1", "screened:kind=exp,Z=50",
                 "screened:kind=inv2,Z=1", "screened:kind=inv25,Z=1", "screened:kind=tf,Z=50",
                 "quark:alpha=0.5,delta=1,B=3", "wall:R=1"]
@@ -414,6 +442,16 @@ class TestPointEvaluation:
         w = p.W(E, float(rho))
         assert w == float(p.W(E, np.asarray(rho)))
         assert w == _w_on_0d(p, E, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ARRAY_CASES, E=st.floats(-50.0, 50.0))
+    def test_array_path_is_bit_identical(self, case, E):
+        # the quadrature evaluates W on arrays of nodes and the searches on
+        # floats; covers mu < 0 and mu > 0, every screening, quarkonium, the
+        # wall and a table (Python's ** on a float rounds unlike numpy's
+        # power on an array in a few per cent of inputs)
+        p, rho = case
+        assert p.W(E, np.array(rho)).tolist() == [float(p.W(E, x)) for x in rho]
 
     @pytest.mark.parametrize("spec", _POINT_SPECS)
     def test_float_path_sweep(self, spec):

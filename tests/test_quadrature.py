@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
@@ -15,12 +16,14 @@ from teff import (
     action_I,
     analyze_slice,
     bound_count_N,
+    chi_profile,
     moment_M,
     nonlinearity_residual,
     parse_potential,
     reduced_moment,
 )
-from teff import quadrature
+from teff import potentials, quadrature
+from teff.cli import main
 from teff.ordering import leading_degeneracy
 
 
@@ -126,6 +129,92 @@ class TestMoments:
             assert reduced_moment(s, d) == stored[d]
         assert s._moments == stored
         assert stored[1] != stored[3]
+
+
+class TestPanels:
+    """W is evaluated once per QUADPACK panel, on the nodes QAGS asks for."""
+
+    def test_quad_asks_for_the_predicted_nodes(self):
+        # QAGS evaluates [a, b] and then bisects it, left half first, each
+        # panel with dqk21's nodes in dqk21's order; a quad that asked for
+        # others would fall back to one W call per point
+        asked = []
+
+        def f(x):
+            asked.append(x)
+            return math.exp(x) * math.sin(7.0 * x)
+
+        quad(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
+        assert asked[:21] == quadrature._panel_nodes(-1.0, 1.0)
+        assert asked[21:63] == (quadrature._panel_nodes(-1.0, 0.0)
+                                + quadrature._panel_nodes(0.0, 1.0))
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (0.3, 40.0), (2.0, -5.0)])
+    def test_panel_values_equal_point_values(self, a, b):
+        # the same bits as scipy's quad asking for one point at a time
+        f = lambda x: math.exp(-0.1 * x) * math.sin(x * x)
+        batches = []
+
+        def many(xs):
+            batches.append(len(xs))
+            return [f(x) for x in xs]
+
+        assert quadrature._quad(many, a, b) == quad(f, a, b, epsabs=0.0,
+                                                    epsrel=0.1 * quadrature._REL_TOL,
+                                                    limit=quadrature._MAX_SUBDIVISIONS)[0]
+        assert set(batches) == {21}
+
+    @pytest.fixture
+    def w_sizes_in_quad(self, monkeypatch):
+        """The number of points of each W evaluation made inside scipy's quad."""
+        sizes, inside = [], []
+        scipy_quad, w = quadrature.quad, potentials.Potential.W
+
+        def traced_quad(*args, **kw):
+            inside.append(True)
+            try:
+                return scipy_quad(*args, **kw)
+            finally:
+                inside.pop()
+
+        def traced_w(p, E, rho):
+            if inside:
+                sizes.append(np.size(rho))
+            return w(p, E, rho)
+
+        monkeypatch.setattr(quadrature, "quad", traced_quad)
+        monkeypatch.setattr(potentials.Potential, "W", traced_w)
+        return sizes
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--potential", "screened:kind=exp,Z=50", "--enumerate", "--emax", "-0.05",
+         "--lmax", "4"],
+        ["chi-table", "--suite", "table1"],
+    ], ids=["yukawa-enumeration", "table1"])
+    def test_every_w_call_is_a_whole_panel(self, w_sizes_in_quad, args, capsys):
+        assert main(args) == 0
+        assert w_sizes_in_quad and set(w_sizes_in_quad) == {21}
+
+    @pytest.mark.parametrize("E,cuts", [(-1.0, 1), (0.0, 2)])
+    def test_flanks_are_found_once_per_cut(self, monkeypatch, E, cuts):
+        # d = 1, 2 and 3 share each cut's roots and tail fits; at the
+        # threshold the right flank is cut, so a second, finer cut follows
+        targets, ds = [], []
+        root_left, refined = quadrature._root_left, quadrature._reduced_moment_refined
+
+        def record_left(w, rho_m, target, **kw):
+            targets.append(target)
+            return root_left(w, rho_m, target, **kw)
+
+        def record_d(s, d):
+            ds.append(d)
+            return refined(s, d)
+
+        monkeypatch.setattr(quadrature, "_root_left", record_left)
+        monkeypatch.setattr(quadrature, "_reduced_moment_refined", record_d)
+        chi_profile(parse_potential("screened:kind=exp,Z=50"), E)
+        assert sorted(ds) == [1, 2, 3]
+        assert len(targets) == len(set(targets)) == cuts
 
 
 def _yukawa_table(lo, hi):
