@@ -670,8 +670,8 @@ def load_table(path):
     """Read a two-column whitespace table (r, V); '#' starts a comment."""
     try:
         with warnings.catch_warnings():
-            # numpy only warns about a file without data rows
-            warnings.simplefilter("error", UserWarning)
+            warnings.filterwarnings("error", message=".*input contained no data",
+                                    category=UserWarning)
             data = np.loadtxt(path, comments="#", ndmin=2)
     except OSError as exc:
         raise PotentialError(f"cannot read table file: {exc}") from exc

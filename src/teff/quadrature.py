@@ -231,15 +231,14 @@ class _Flanks(NamedTuple):
     Both flanks start at the maximum ``rho_m`` = ln r_m.  The left one is
     integrated from ``rho_a`` (``clamped`` when that is a tabulated range
     edge) and closed by the tail ``left``.  The right one ends at ``rho_b``:
-    a zero of W ("zero"), the wall ("wall"), or a cut ("cut") or range edge
-    ("edge") closed by the tail ``right``.
+    the wall, a zero of W (``right`` is None for both), or a cut or range
+    edge closed by the tail ``right``.
     """
 
     rho_m: float
     rho_a: float
     clamped: bool
     left: tuple
-    kind: str
     rho_b: float
     right: tuple | None
 
@@ -261,10 +260,10 @@ def _find_flanks(s, cut):
     rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
     left = _tail_fit(w, rho_a, rho_m, ceil)
     if s.boundary_max:
-        return _Flanks(rho_m, rho_a, clamped, left, "wall", math.log(s.r_t), None)
+        return _Flanks(rho_m, rho_a, clamped, left, math.log(s.r_t), None)
     kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
     right = None if kind == "zero" else _tail_fit(w, rho_b, rho_m, floor)
-    return _Flanks(rho_m, rho_a, clamped, left, kind, rho_b, right)
+    return _Flanks(rho_m, rho_a, clamped, left, rho_b, right)
 
 
 def reduced_moment(s, d):
@@ -286,10 +285,10 @@ def _reduced_moment_refined(s, d):
     a2, power = s.A * s.A, 0.5 * d
     w = _w_many(s)
     g = lambda rhos: [(v / a2) ** power if v > 0.0 else 0.0 for v in w(rhos)]
-    first, truncated, exact = _reduced_moment_parts(s, d, g, _TAIL_CUT)
+    first, truncated = _reduced_moment_parts(s, d, g, _TAIL_CUT)
     if not truncated:
         return first
-    second, _, _ = _reduced_moment_parts(s, d, g, _TAIL_CUT / 10.0, exact)
+    second, _ = _reduced_moment_parts(s, d, g, _TAIL_CUT / 10.0)
     if abs(second - first) > 1e-6 * max(abs(first), abs(second)):
         raise Divergent(
             f"moment estimate does not stabilise under tail refinement "
@@ -297,28 +296,22 @@ def _reduced_moment_refined(s, d):
     return second
 
 
-def _reduced_moment_parts(s, d, g, cut, exact=None):
-    """(value, had_truncated_tail, exact) of the integral of the batch
-    integrand g = (W/A^2)^(d/2), with tails closed below W = cut * A^2.
-
-    ``exact`` is the right-flank integral up to a zero of W or the wall,
-    which no cut moves (None when the flank is cut); passed back in, it is
-    reused.
-    """
+def _reduced_moment_parts(s, d, g, cut):
+    """(value, had_truncated_tail) of the integral of the batch integrand
+    g = (W/A^2)^(d/2), with tails closed below W = cut * A^2."""
     fl = _flanks(s, cut)
     a2 = s.A * s.A
     total = _quad(g, fl.rho_a, fl.rho_m)
     total += _tail(fl.left, a2, d)
-    if fl.right is not None:
+    if s.boundary_max:
         total += _quad(g, fl.rho_m, fl.rho_b)
-        total += _tail(fl.right, a2, d)
-        return total, True, None
-    if exact is None:
-        if fl.kind == "wall":
-            exact = _quad(g, fl.rho_m, fl.rho_b)
-        else:
-            exact = _quad(_cos_mapped(g, fl.rho_m, fl.rho_b), 0.0, math.pi)
-    return total + exact, fl.clamped, exact
+        return total, fl.clamped
+    if fl.right is None:  # W falls to zero at rho_b
+        total += _quad(_cos_mapped(g, fl.rho_m, fl.rho_b), 0.0, math.pi)
+        return total, fl.clamped
+    total += _quad(g, fl.rho_m, fl.rho_b)
+    total += _tail(fl.right, a2, d)
+    return total, True
 
 
 def moment_M(s, d):

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -6,6 +8,21 @@ import pytest
 
 from teff import PowerLaw, parse_potential
 from teff import potentials
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Runs ``python *args`` in a fresh interpreter that imports this
+    checkout's teff, so a traceback or a warning would show on its stderr."""
+    src = os.path.dirname(os.path.dirname(potentials.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    return run
 
 
 @pytest.fixture(scope="session")

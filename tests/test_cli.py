@@ -3,9 +3,6 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -24,14 +21,10 @@ def runner():
     return CliRunner()
 
 
-def _run_script(*args):
-    """The CLI run as the installed script would be, so a traceback or a
-    warning would show on its stderr."""
-    src = os.path.dirname(os.path.dirname(teff.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "teff.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+@pytest.fixture
+def run_cli(run_python):
+    """The CLI run as the installed script would be."""
+    return lambda *args: run_python("-m", "teff.cli", *args)
 
 
 class TestOrder:
@@ -239,12 +232,12 @@ class TestSpectrum:
         assert runner.invoke(cli, _YUKAWA50_ENUMERATION).exit_code == 0
         assert len(slice_counts) <= 400
 
-    def test_hard_wall_level_near_float_max(self):
+    def test_hard_wall_level_near_float_max(self, run_cli):
         # the ground state 2.32014 / R^2 lies far above a fixed bracket budget;
         # the level scales exactly as 1/R^2
         ground = teff.quantize_energy(teff.HardWall(R=1.0), teff.QuantumLevel(0, 0, 3)).E
-        proc = _run_script("spectrum", "--potential", "wall:R=1e-150", "--levels", "0:0",
-                           "--format", "json")
+        proc = run_cli("spectrum", "--potential", "wall:R=1e-150", "--levels", "0:0",
+                       "--format", "json")
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert ground == pytest.approx(2.32014, abs=5e-6)
@@ -307,24 +300,24 @@ class TestExitCodes:
         ["spectrum", "--potential", "screened:kind=exp,Z=1e300", "--levels", "0:0"],
         ["diagram", "--potential", "wall:R=1e-300"],
     ])
-    def test_bad_argument_is_2(self, args):
-        proc = _run_script(*args)
+    def test_bad_argument_is_2(self, args, run_cli):
+        proc = run_cli(*args)
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_wall_amplitude_overflow_is_3(self):
+    def test_wall_amplitude_overflow_is_3(self, run_cli):
         # sqrt(2E) R overflows at the reference energy 1/R^2 ~ 1e308
-        proc = _run_script("spectrum", "--potential", "wall:R=1e-154", "--levels", "0:0")
+        proc = run_cli("spectrum", "--potential", "wall:R=1e-154", "--levels", "0:0")
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("body", ["", "# r V\n"])
-    def test_table_without_data_is_2(self, body, tmp_path):
+    def test_table_without_data_is_2(self, body, tmp_path, run_cli):
         path = tmp_path / "empty.dat"
         path.write_text(body)
-        proc = _run_script("chi-table", "--potential", f"table:path={path}", "--energy", "-0.1")
+        proc = run_cli("chi-table", "--potential", f"table:path={path}", "--energy", "-0.1")
         assert proc.returncode == 2
         assert "holds no data" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

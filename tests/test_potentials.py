@@ -1,6 +1,4 @@
 import math
-import os
-import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -347,14 +345,9 @@ class TestThomasFermi:
         assert len(built) == 1
         assert len(set(slopes)) == 1
 
-    def test_import_builds_no_table(self):
+    def test_import_builds_no_table(self, run_python):
         # the table is built on first use, never by the import
-        src = os.path.dirname(os.path.dirname(potentials.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        code = "import teff; print(teff.potentials._TF_SOLUTION is None)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+        proc = run_python("-c", "import teff; print(teff.potentials._TF_SOLUTION is None)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
 
