@@ -19,7 +19,14 @@ import sys
 import click
 
 from .errors import PotentialError, TeffError
-from .ordering import QuantumLevel, diagram_data, diagram_to_csv, diagram_to_json, shell_sequence
+from .ordering import (
+    MAX_SHELLS,
+    QuantumLevel,
+    diagram_data,
+    diagram_to_csv,
+    diagram_to_json,
+    shell_sequence,
+)
 from .potentials import parse_potential
 from .spectrum import enumerate_bound_states, quantize_energy
 from .transforms import chi_profile
@@ -130,7 +137,8 @@ def cmd_chi_table(specs, energy, suite, fmt, output):
 @cli.command("order")
 @click.option("--phi", type=float, required=True, help="Slope weighting the orbital index.")
 @click.option("--d", "dim", type=int, default=3, show_default=True)
-@click.option("--count", type=int, required=True, help="Number of shells to list.")
+@click.option("--count", type=int, required=True,
+              help=f"Number of shells to list, at most {MAX_SHELLS}.")
 @click.option("--spin", type=click.Choice(["1", "2"]), default="1", show_default=True)
 @_FORMAT_OPT
 @_OUTPUT_OPT

@@ -11,9 +11,10 @@ uniform rho grid, symmetrised with diag(2 r^2)^(-1/2), give a symmetric
 tridiagonal matrix.  A Sturm-sequence count (Barth, Martin & Wilkinson,
 Numer. Math. 9, 1967; LAPACK ``dstebz``) picks its n_r-th eigenvalue
 directly: that eigenvector has exactly n_r sign changes, so the Sturm
-index is the node count.  One Richardson step on two grids removes the
-h^2 error.  None of this shares code with the quadrature pipeline;
-independence is the point.
+index is the node count.  One Romberg step on the grids 4h, 2h and h,
+(64 E_h - 20 E_(2h) + E_(4h)) / 45, removes the h^2 and h^4 errors.  None
+of this shares code with the quadrature pipeline; independence is the
+point.
 
 The deep-left diagonal ~ 1/(h^2 r^2) stretches the Gershgorin interval of
 the matrix to 1e12-1e65, so bisecting it for an eigenvalue index costs
@@ -24,29 +25,35 @@ window:
 
 - on the seed grid, with 8 times fewer intervals than the grid h, a window
   around that value gives the seed to 1e-9 of itself; the window is 64
-  times the grid h's, as the h^2 error is;
+  times the grid 4h's, as the index grid's h^2 error is 64 times the
+  seed grid's;
 - the bracket takes that seed, and one Sturm count N(e_hi) on the grid h
   (two sweeps) decides whether the level lies below the window top e_hi;
-- on the grid h, the count N(vl) at vl = seed - delta certifies that the
+- on the grid 4h, the count N(vl) at vl = seed - delta certifies that the
   n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta];
   bisection on that window alone takes about 40 sweeps;
-- on the grid h/2 the window is centred on the h^2 prediction: an error
-  c h^2 puts the seed 63 c h^2 above E_h and E_(h/2) 3/4 c h^2 below it,
-  so a window a few percent of c h^2 wide holds the level.
+- on the grids 2h and h each window is centred on the h^2 prediction from
+  the grid before it: an error c h^2 puts the seed 64 c h^2 above the
+  level, E_(4h) 16 c h^2, E_(2h) 4 c h^2 and E_h c h^2, so a window a few
+  percent of c h^2 wide holds the level.  The three grids have 1.75 times
+  the nodes of the grid h.
 
 A window that misses the level is widened, and a count below the
 Gershgorin floor is 0.
 
-The step of the grid h is exactly ``_STEP`` = 2^-9.  The left edge sits
-on a multiple of it, so every node is an exact binary fraction, and the
-right edge absorbs the rest of the span; at a hard wall psi = 0 on the
-wall, and the left edge absorbs it instead.  At lambda = 0 the level
-keeps its weight on the deep-left rows, where a step that is not a binary
-fraction moves it by up to 2e-8 as the grid's length changes (Coulomb,
-d = 2).  Each edge sits where psi has decayed by
+The step of the grid h is exactly ``_STEP`` = 2^-9, and its number of
+intervals is a multiple of 4, so the grids 2h and 4h keep its end nodes.
+The left edge sits on a multiple of the step, so every node is an exact
+binary fraction, and the right edge absorbs the rest of the span; at a
+hard wall psi = 0 on the wall, and the left edge absorbs it instead.  At
+lambda = 0 the level keeps its weight on the deep-left rows, where a step
+that is not a binary fraction moves it by up to 2e-8 as the grid's length
+changes (Coulomb, d = 2).  Each edge sits where psi has decayed by
 ``_DECAY_MARGIN``, past double precision.  The grid h is the window's grid
 cut at the node past which a top just above the seed has decayed that
 much, so a deep level does not carry the long tail of the window top.
+The cut keeps every node, so its matrix is the leading block of the
+matrix the bracket counted on.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ __all__ = [
     "solve_bound_state",
 ]
 
-_STEP = 1.0 / 512.0      # rho spacing of the grid h, exactly; h/2 halves it
+_STEP = 1.0 / 512.0      # rho spacing of the grid h, exactly; 2h and 4h multiply it
 # e-folds of decay between the level and a grid edge.  Cutting psi off where
 # it has decayed by e^(-M) moves the eigenvalue by about e^(-2M) of itself,
 # the share of the norm lost past the edge; e^(-2M) <= 2^-53, the unit
@@ -79,7 +86,7 @@ _RHO_FLOOR = -150.0
 _SEED_COARSENING = 8     # the seed grid has this many times fewer intervals
 _SEED_TOL = 1e-9         # relative: a seed needs only to land well inside its window
 _WINDOW = 1e-3           # first window half-width, relative to the seed
-_PREDICTED_WINDOW = 0.05  # h/2 window half-width, relative to the h^2 error c h^2
+_PREDICTED_WINDOW = 0.05  # 2h and h window half-width, relative to the h^2 error c h^2
 _MAX_WIDENINGS = 30      # each one 8 times wider: far past any seed's error
 
 
@@ -102,6 +109,12 @@ def _inner_turning_point(p, E, q, rho_m):
     rho = rho_m - 0.25 * np.arange(int((rho_m - _RHO_FLOOR) / 0.25) + 1)
     below = np.flatnonzero(p.W(E, rho) <= q)
     return float(rho[below[0]]) if below.size else _RHO_FLOOR
+
+
+def _intervals(span):
+    """Intervals of step ``_STEP`` that cover ``span``: at least 64, and a
+    multiple of 4, so that the grids 2h and 4h keep the end nodes."""
+    return max(4 * math.ceil(span / (4 * _STEP)), 64)
 
 
 def _grid(p, level, e_lo, e_hi):
@@ -136,7 +149,7 @@ def _grid(p, level, e_lo, e_hi):
     rho_hi = _right_edge(s, level)
     if not s.boundary_max:
         rho_lo = math.floor(rho_lo / _STEP) * _STEP
-    n = max(int(math.ceil((rho_hi - rho_lo) / _STEP)), 64)
+    n = _intervals(rho_hi - rho_lo)
     if s.boundary_max:
         return rho_hi - n * _STEP, rho_hi, n
     return rho_lo, rho_lo + n * _STEP, n
@@ -177,7 +190,7 @@ def _level_grid(p, level, grid, e_hi, seed):
         return grid
     rho_lo, _, n = grid
     cut = _right_edge(analyze_slice(p, top), level)
-    m = max(int(math.ceil((cut - rho_lo) / _STEP)), 64)
+    m = _intervals(cut - rho_lo)
     return grid if m >= n else (rho_lo, rho_lo + m * _STEP, m)
 
 
@@ -232,12 +245,13 @@ def _seed(p, level, grid):
                                 k * k * _WINDOW * abs(rough) + tol, tol)
 
 
-def _windowed_eigenvalue(p, level, grid, centre, delta, tol):
+def _windowed_eigenvalue(p, level, grid, centre, delta, tol, matrix=None):
     """n_r-th eigenvalue on ``grid``, bisected to ``tol`` in the window
     (centre - delta, centre + delta], which the count N(centre - delta)
-    certifies; a window that misses the level is widened 8-fold."""
+    certifies; a window that misses the level is widened 8-fold.
+    ``matrix``, if given, is the grid's (d, off), already built."""
     n_r = level.n_r
-    d, off = _matrix(p, level, *grid)
+    d, off = _matrix(p, level, *grid) if matrix is None else matrix
     floor = _floor(d, off)
     for _ in range(_MAX_WIDENINGS):
         vl, vu = centre - delta, centre + delta
@@ -249,21 +263,30 @@ def _windowed_eigenvalue(p, level, grid, centre, delta, tol):
     raise NoConvergence(f"no window around {centre:.10g} holds level n_r = {n_r}")
 
 
-def _refine(p, level, e_lo, e_hi, grid, seed):
-    """Richardson value of the level from the grids h and h/2, given the
-    window's grid and a seed from a grid 8 times coarser: the h window is
-    centred on the seed, and the h/2 window on the h^2 prediction."""
+def _refine(p, level, e_lo, e_hi, grid, seed, matrix=None):
+    """Romberg value of the level from the grids 4h, 2h and h, given the
+    window's grid, a seed from a grid 8 times coarser and, if the bracket
+    built it, the window grid's matrix: the 4h window is centred on the
+    seed, and each finer one on the h^2 prediction from the grid before."""
     grid = _level_grid(p, level, grid, e_hi, seed)
+    rho_lo, rho_hi, m = grid
+    if matrix is not None:
+        # the cut keeps every node: its matrix is the leading m x m block
+        matrix = matrix[0][:m], matrix[1][:m - 1]
     # the default tolerance scales with the norm of this strongly graded
     # matrix, which dwarfs the level; use an absolute one at the level's scale
     tol = 1e-14 * max(abs(e_lo), abs(e_hi))
-    e_h = _windowed_eigenvalue(p, level, grid, seed, _WINDOW * abs(seed) + tol, tol)
-    # an error c h^2 puts the seed 63 c h^2 above e_h, and e_(h/2) 3/4 c h^2 below it
-    c_h2 = (seed - e_h) / (_SEED_COARSENING**2 - 1)
-    rho_lo, rho_hi, n = grid
-    e_h2 = _windowed_eigenvalue(p, level, (rho_lo, rho_hi, 2 * n), e_h - 0.75 * c_h2,
+    e_4h = _windowed_eigenvalue(p, level, (rho_lo, rho_hi, m // 4), seed,
+                                _WINDOW * abs(seed) + tol, tol)
+    # an error c h^2 puts the seed 64 c h^2 above the level, e_4h 16 c h^2,
+    # e_2h 4 c h^2 and e_h c h^2
+    c_h2 = (seed - e_4h) / (_SEED_COARSENING**2 - 16)
+    e_2h = _windowed_eigenvalue(p, level, (rho_lo, rho_hi, m // 2), e_4h - 12.0 * c_h2,
                                 _PREDICTED_WINDOW * abs(c_h2) + tol, tol)
-    e = (4.0 * e_h2 - e_h) / 3.0
+    c_h2 = (e_4h - e_2h) / 12.0
+    e_h = _windowed_eigenvalue(p, level, grid, e_2h - 3.0 * c_h2,
+                               _PREDICTED_WINDOW * abs(c_h2) + tol, tol, matrix)
+    e = (64.0 * e_h - 20.0 * e_2h + e_4h) / 45.0
     if not e_lo < e < e_hi:
         raise BracketMiss(
             f"level n_r = {level.n_r} lies at {e:.10g}, outside the bracket "
@@ -275,8 +298,8 @@ def numerov_eigenvalue(p, level, e_bracket):
     """Eigenvalue of the radial equation inside ``e_bracket``.
 
     The bracket sets the seed grid and must contain the requested level.
-    The n_r-th eigenvalue is found on grids with steps h and h/2 and
-    combined by one Richardson step, (4 E_(h/2) - E_h) / 3.
+    The n_r-th eigenvalue is found on grids with steps 4h, 2h and h and
+    combined by one Romberg step, (64 E_h - 20 E_(2h) + E_(4h)) / 45.
     """
     e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
     if not e_lo < e_hi:
@@ -286,9 +309,12 @@ def numerov_eigenvalue(p, level, e_bracket):
 
 
 def _bracket(p, level):
-    """(e_lo, e_hi, seed, grid): the window of ``bracket_bound_state``, the
-    seed-grid eigenvalue it was built from, and the grid h built for e_hi."""
+    """(e_lo, e_hi, seed, grid, matrix): the window of
+    ``bracket_bound_state``, the seed-grid eigenvalue it was built from, the
+    grid h built for e_hi, and that grid's (d, off) if the count below a
+    threshold built it, else None."""
     _, ceiling = p.energy_window()
+    matrix = None
 
     def seed_at(e_hi):
         grid = _grid(p, level, e_hi, e_hi)
@@ -299,7 +325,7 @@ def _bracket(p, level):
         grid, seed = seed_at(e_hi)
         # the full grid decides: the seed of a level just under e_hi may
         # lie on either side of it
-        d, off = _matrix(p, level, *grid)
+        matrix = d, off = _matrix(p, level, *grid)
         if _count(d, off, _floor(d, off), e_hi) <= level.n_r:
             if p.levels_accumulate:
                 raise BracketMiss(
@@ -318,7 +344,7 @@ def _bracket(p, level):
         else:
             raise BracketMiss("cannot push the upper bracket high enough")
         e = seed
-    return e - max(e_hi - e, abs(e)), e_hi, seed, grid
+    return e - max(e_hi - e, abs(e)), e_hi, seed, grid, matrix
 
 
 def bracket_bound_state(p, level):
@@ -334,7 +360,7 @@ def bracket_bound_state(p, level):
 
 
 def solve_bound_state(p, level):
-    """Find the energy window, then refine on the grid and from the seed it
-    was built on."""
-    e_lo, e_hi, seed, grid = _bracket(p, level)
-    return _refine(p, level, e_lo, e_hi, grid, seed)
+    """Find the energy window, then refine on the grid, from the seed and
+    with the matrix it was built on."""
+    e_lo, e_hi, seed, grid, matrix = _bracket(p, level)
+    return _refine(p, level, e_lo, e_hi, grid, seed, matrix)

@@ -122,6 +122,7 @@ def leading_degeneracy(lam, d):
 
 _ORBITAL_LETTERS = "spdfghiklmnoqrtuvwxyz"
 _PHI_SAMPLES = 11  # points on each level line of the diagram
+MAX_SHELLS = 100_000  # largest shell_sequence count: about 1 s of heap merge
 
 
 def spectroscopic_label(n_r, l, d=3):
@@ -158,11 +159,12 @@ class ShellSequence:
 def shell_sequence(phi, d, count, spin=1):
     """First ``count`` shells of the T-ordering at slope phi, a heap merge
     of the l channels by (T, l, n_r): T rises with n_r in a channel, and
-    channel l + 1 opens when its predecessor (0, l) leaves the heap."""
+    channel l + 1 opens when its predecessor (0, l) leaves the heap.
+    ``count`` runs from 1 to ``MAX_SHELLS``."""
     if not 0.0 < phi < math.inf:
         raise ValueError("phi must be positive and finite")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_SHELLS:
+        raise ValueError(f"count must be from 1 to {MAX_SHELLS}")
     import heapq
 
     key = lambda n_r, l: (teff(QuantumLevel(n_r, l, d), phi), l, n_r)

@@ -11,7 +11,13 @@ from click.testing import CliRunner
 import teff
 from teff import cli as cli_module
 from teff.cli import cli, main
-from teff.ordering import ShellEntry, ShellSequence, degeneracy, spectroscopic_label
+from teff.ordering import (
+    MAX_SHELLS,
+    ShellEntry,
+    ShellSequence,
+    degeneracy,
+    spectroscopic_label,
+)
 
 MADELUNG = ["1s", "2s", "2p", "3s", "3p", "4s", "3d", "4p", "5s", "4d", "5p", "6s", "4f"]
 
@@ -285,6 +291,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["order", "--phi", "-1", "--count", "3"],
         ["order", "--phi", "1", "--count", "0"],
+        ["order", "--phi", "1.75", "--count", str(MAX_SHELLS + 1)],
         ["order", "--phi", "inf", "--count", "3"],
         ["diagram", "--potential", "power:b=1,mu=2", "--phi-max", "3"],
         ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "nan",

@@ -163,7 +163,7 @@ class TestBracketing:
 
 def _refinement_grid(p, lvl):
     """(grid, tol) of the h step as ``solve_bound_state`` sets them."""
-    e_lo, e_hi, seed, grid = oracle._bracket(p, lvl)
+    e_lo, e_hi, seed, grid, _ = oracle._bracket(p, lvl)
     return _level_grid(p, lvl, grid, e_hi, seed), 1e-14 * max(abs(e_lo), abs(e_hi))
 
 
@@ -305,9 +305,9 @@ class TestWindowSearch:
 class TestOneIndexSearch:
     """A level costs one index search, on the bracket's grid coarsened
     64-fold; a window around its value gives the seed on the grid
-    coarsened 8-fold.  The bracket decides with a Sturm count, the h
-    window is centred on the seed and the h/2 window on the Richardson
-    prediction."""
+    coarsened 8-fold.  The bracket decides with a Sturm count, the 4h
+    window is centred on the seed, and the 2h and h windows on the h^2
+    prediction from the grid before."""
 
     @pytest.mark.parametrize("spec,lvl", [
         ("power:b=-1,mu=-1", QuantumLevel(0, 0, 3)),
@@ -315,7 +315,7 @@ class TestOneIndexSearch:
     ])
     def test_threshold_well_searches_once(self, index_searches, spec, lvl):
         p = parse_potential(spec)
-        _, _, _, (_, _, n) = oracle._bracket(p, lvl)
+        _, _, _, (_, _, n), _ = oracle._bracket(p, lvl)
         index_searches.clear()
         solve_bound_state(p, lvl)
         assert [(r, size) for r, size, _ in index_searches] == [((lvl.n_r, lvl.n_r), n // 64)]
@@ -326,7 +326,7 @@ class TestOneIndexSearch:
         # tolerance taken relative to the window top would bisect the seed
         # to ~1e-23; both seed grids are bisected to ~1e-9 of the level
         p, lvl, e = PowerLaw(b=-Z, mu=-1.0), QuantumLevel(0, 0, 3), -0.5 * Z * Z
-        _, e_hi, _, (_, _, n) = oracle._bracket(p, lvl)
+        _, e_hi, _, (_, _, n), _ = oracle._bracket(p, lvl)
         assert abs(e_hi) < 1e-8 * abs(e)
         index_searches.clear()
         windows.clear()
@@ -347,21 +347,22 @@ class TestOneIndexSearch:
         e = numerov_eigenvalue(p, lvl, bracket_bound_state(p, lvl))
         assert solve_bound_state(p, lvl) == pytest.approx(e, rel=1e-12, abs=0.0)
 
-    def test_missed_h2_window_is_widened(self, monkeypatch, windows, index_searches):
-        # a zero-width h/2 window around the prediction misses the level;
-        # the widened window still finds the 2n-grid eigenvalue.  The level
-        # runs one index search, on the bracket's grid coarsened 64-fold,
-        # and three window searches: on that grid coarsened 8-fold, on the
-        # grid h and on the grid h/2
+    def test_missed_predicted_windows_are_widened(self, monkeypatch, windows,
+                                                  index_searches):
+        # zero-width 2h and h windows around the predictions miss the level;
+        # the widened windows still find it.  The level runs one index
+        # search, on the bracket's grid coarsened 64-fold, and four window
+        # searches: on that grid coarsened 8-fold, and on the grids 4h, 2h
+        # and h, which is the bracket's grid cut on one of its nodes
         monkeypatch.setattr(oracle, "_PREDICTED_WINDOW", 0.0)
         p, lvl = PowerLaw(b=1.0, mu=7.9), QuantumLevel(0, 1, 3)
-        _, _, _, (rho_lo, rho_hi, n) = oracle._bracket(p, lvl)
+        _, _, _, (rho_lo, rho_hi, n), _ = oracle._bracket(p, lvl)
         found = []
         original = oracle._windowed_eigenvalue
 
-        def recorded(p, level, grid, centre, delta, tol):
+        def recorded(p, level, grid, centre, delta, tol, matrix=None):
             start = len(windows)
-            e = original(p, level, grid, centre, delta, tol)
+            e = original(p, level, grid, centre, delta, tol, matrix)
             found.append((grid, tol, e, len(windows) - start))
             return e
 
@@ -369,19 +370,49 @@ class TestOneIndexSearch:
         index_searches.clear()
         solve_bound_state(p, lvl)
         assert [size for _, size, _ in index_searches] == [n // 64]
-        (seed_grid, _, _, _), (grid, tol, _, _), (grid2, tol2, e_h2, calls) = found
+        (seed_grid, _, _, _), (grid4, tol, _, _), (grid2, tol2, _, calls2), \
+            (grid, tol1, e_h, calls) = found
         assert seed_grid == (rho_lo, rho_hi, n // 8)
-        assert grid[0] == rho_lo and grid[2] <= n
-        assert grid2 == (grid[0], grid[1], 2 * grid[2]) and tol2 == tol
-        assert calls > 2
-        assert abs(e_h2 - _index_search(p, lvl, *grid2, tol)) <= 2.0 * tol
+        cut_lo, cut_hi, m = grid
+        assert cut_lo == rho_lo and m <= n and m % 4 == 0
+        assert grid4 == (cut_lo, cut_hi, m // 4) and grid2 == (cut_lo, cut_hi, m // 2)
+        assert tol2 == tol1 == tol
+        assert calls2 > 2 and calls > 2
+        assert abs(e_h - _index_search(p, lvl, *grid, tol)) <= 2.0 * tol
+
+    @pytest.mark.parametrize("spec,lvl", [
+        ("power:b=-1,mu=-1", QuantumLevel(0, 0, 3)),
+        ("screened:kind=exp,Z=50", QuantumLevel(2, 3, 3)),
+    ])
+    def test_bracket_matrix_is_the_cut_block(self, monkeypatch, spec, lvl):
+        # below a threshold the bracket counts on the grid h; the cut keeps
+        # its nodes, so the cut's matrix is its leading block, to the bit,
+        # and the refinement builds only the grids 4h and 2h
+        p = parse_potential(spec)
+        _, e_hi, seed, grid, (d, off) = oracle._bracket(p, lvl)
+        cut = _level_grid(p, lvl, grid, e_hi, seed)
+        m = cut[2]
+        assert m < grid[2]
+        d_cut, off_cut = _matrix(p, lvl, *cut)
+        assert (d[:m] == d_cut).all() and (off[:m - 1] == off_cut).all()
+        built = []
+        original = oracle._matrix
+
+        def counted(p, level, rho_lo, rho_hi, intervals):
+            built.append(intervals)
+            return original(p, level, rho_lo, rho_hi, intervals)
+
+        monkeypatch.setattr(oracle, "_matrix", counted)
+        solve_bound_state(p, lvl)
+        n = grid[2]
+        assert built == [n // 64, n // 8, n, m // 4, m // 2]
 
     def test_level_grid_keeps_the_nodes(self):
         # the cut grid ends at a node of the window's grid, well short of
         # the window top's decay margin for this deep level; every node is
         # a multiple of the step
         p, lvl = parse_potential("power:b=-1,mu=-1"), QuantumLevel(0, 0, 3)
-        _, e_hi, seed, grid = oracle._bracket(p, lvl)
+        _, e_hi, seed, grid, _ = oracle._bracket(p, lvl)
         rho_lo, rho_hi, n = grid
         cut_lo, cut_hi, m = _level_grid(p, lvl, grid, e_hi, seed)
         assert cut_lo == rho_lo and m < 0.9 * n
@@ -412,6 +443,71 @@ class TestOneIndexSearch:
         assert "window top -1e-09" in str(miss.value)
         with pytest.raises(BracketMiss, match="holds no level"):
             solve_bound_state(parse_potential("screened:kind=exp,Z=1"), QuantumLevel(5, 3, 3))
+
+
+def _wall_energy(R, lvl):
+    return _bessel_zero(lvl.lam, lvl.n_r + 1) ** 2 / (2.0 * R * R)
+
+
+def _airy_energy(b, lvl):
+    # V = b r, l = 0 in d = 3: E = -a_(n_r + 1) (b^2 / 2)^(1/3)
+    return -float(ai_zeros(lvl.n_r + 1)[0][lvl.n_r]) * (b * b / 2.0) ** (1.0 / 3.0)
+
+
+_SWEEP = [QuantumLevel(n_r, l, d) for d in (2, 3, 5) for n_r in range(4) for l in range(4)]
+
+
+class TestRomberg:
+    """The Romberg step on the grids 4h, 2h and h removes the h^4 error
+    that one Richardson step on h and h/2 leaves: across the closed-form
+    wells every level with lambda > 0 lies within 4e-11 of its closed
+    form, where the Richardson step reached 1.6e-10 (wall, d = 5,
+    (3, 3)).  The lambda = 0 levels keep their own pins."""
+
+    @pytest.mark.parametrize("p,exact,levels", [
+        (PowerLaw(b=-1.3, mu=-1.0),
+         lambda lvl: exact_reference_spectrum("coulomb", 1.3, lvl), _SWEEP),
+        (PowerLaw(b=0.7, mu=2.0),
+         lambda lvl: exact_reference_spectrum("oscillator", 0.7, lvl), _SWEEP),
+        (HardWall(R=1.7), lambda lvl: _wall_energy(1.7, lvl), _SWEEP),
+        (PowerLaw(b=1.4, mu=1.0), lambda lvl: _airy_energy(1.4, lvl),
+         [QuantumLevel(n_r, 0, 3) for n_r in range(4)]),
+    ], ids=["coulomb", "oscillator", "wall", "linear"])
+    def test_closed_form_sweep(self, p, exact, levels):
+        errors = {(lvl.n_r, lvl.l, lvl.d): abs(solve_bound_state(p, lvl) / exact(lvl) - 1.0)
+                  for lvl in levels if lvl.lam > 0}
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 4e-11, (worst, errors[worst])
+
+
+# the nine level shapes of the oracle-levels benchmark at fixed strengths
+_WORK_DECK = [
+    (PowerLaw(b=-1.3, mu=-1.0), QuantumLevel(0, 0, 2)),
+    (PowerLaw(b=-1.3, mu=-1.0), QuantumLevel(1, 2, 3)),
+    (PowerLaw(b=-1.3, mu=-1.0), QuantumLevel(3, 1, 5)),
+    (PowerLaw(b=0.7, mu=2.0), QuantumLevel(1, 1, 2)),
+    (PowerLaw(b=0.7, mu=2.0), QuantumLevel(2, 1, 3)),
+    (PowerLaw(b=0.7, mu=2.0), QuantumLevel(0, 3, 5)),
+    (PowerLaw(b=1.4, mu=1.0), QuantumLevel(1, 0, 3)),
+    (HardWall(R=1.7), QuantumLevel(2, 1, 3)),
+    (HardWall(R=1.7), QuantumLevel(1, 0, 2)),
+]
+
+
+class TestWork:
+    """The oracle's work is its Sturm sweeps, each over every row of its
+    matrix: the rows summed over every dstebz call of a fixed deck are a
+    count that wall time on a noisy host cannot give."""
+
+    # refining on the grids 4h, 2h and h; on the grids h and h/2 this deck
+    # took 804_797 rows
+    _MAX_ROWS = 514_046
+
+    def test_rows_swept(self, windows, index_searches):
+        for p, lvl in _WORK_DECK:
+            solve_bound_state(p, lvl)
+        rows = sum(size for size, *_ in windows) + sum(size for _, size, _ in index_searches)
+        assert rows <= self._MAX_ROWS
 
 
 class TestInnerEdge:
