@@ -351,13 +351,30 @@ def _curve_point(s, d):
     return phi_additive(s, d), chi_d(s, 1.0) * s.A
 
 
+def _held_bracket(gap, lo, g_lo, hi, held):
+    """Narrow the sign change of ``gap`` on [lo, hi], where gap(lo) = g_lo,
+    to the nearest energies in ``held`` around it; the curve points of
+    those slices are already computed, so this costs no slice."""
+    for E in sorted(E for E in held if lo < E < hi):
+        try:
+            g = gap(E)
+        except TeffError:  # a grid energy whose curve point was skipped
+            continue
+        if g == 0.0 or (g > 0.0) != (g_lo > 0.0):
+            return lo, E
+        lo, g_lo = E, g
+    return lo, hi
+
+
 def diagram_data(levels, phi_range, curve_specs, d=3):
     """Assemble the universal diagram.
 
     ``curve_specs`` is a sequence of (potential, energy grid) pairs; bad
     curve points are dropped with a note.  Crossings are located by sign
-    change of (curve - line) over the energy grid and refined by
-    bisection in E.
+    change of (curve - line) over the energy grid and refined by brentq
+    in E (to rtol 1e-10), on a bracket narrowed to the nearest energies
+    that the curve's slice cache already holds from the grid and from the
+    searches of earlier crossings.
     """
     phi_lo, phi_hi = phi_range
     if not (0.0 < phi_lo < phi_hi <= 2.5):
@@ -393,7 +410,9 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
                     continue
                 func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
                     _curve_point(slice_at(E), d))
-                e_star = brentq(func, min(e0, e1), max(e0, e1), rtol=1e-10, maxiter=200)
+                (lo, g_lo), (hi, _) = sorted(((e0, g0), (e1, g1)))
+                lo, hi = _held_bracket(func, lo, g_lo, hi, slice_at.energies())
+                e_star = brentq(func, lo, hi, rtol=1e-10, maxiter=200)
                 phi_star, t_star = _curve_point(slice_at(e_star), d)
                 crossings.append(DiagramCrossing(
                     line_label=spectroscopic_label(lvl.n_r, lvl.l, d),

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_bvp
 from scipy.interpolate import BPoly, CubicSpline, PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import MultipleMaxima, NoClassicalRegion, NumericsError, PotentialError
 
@@ -859,11 +859,61 @@ def _turning_point_of_v(p, E, r_m):
     raise NumericsError("failed to bracket the outer turning point of V")
 
 
+_GOLDEN_XTOL = 1e-11
+
+
+def _golden_maximum(w_at, x, w):
+    """Golden-section search for the maximum of ``w_at`` in the bracket
+    ``x = (xa, xb, xc)`` with values ``w``, whose middle one tops both ends.
+
+    This is the arithmetic of scipy's ``minimize_scalar(method="golden")``
+    on -W, step for step: the same constant, updates and stop rule, so the
+    same bits.  The bracket values come from the scan, and W is not
+    evaluated again at xb.
+    """
+    x0, xb, x3 = (float(v) for v in x)
+    wa, wb, wc = w
+    if not (wb > wa and wb > wc):
+        raise NumericsError("W has no strict maximum on the scan grid")
+    g_r = 0.61803399  # scipy's rounded golden ratio conjugate
+    g_c = 1.0 - g_r
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + g_c * (x3 - xb)
+        w1, w2 = wb, w_at(x2)
+    else:
+        x1, x2 = xb - g_c * (xb - x0), xb
+        w1, w2 = w_at(x1), wb
+    for _ in range(5000):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if w2 > w1:
+            x0, x1 = x1, x2
+            x2 = g_r * x1 + g_c * x3
+            w1, w2 = w2, w_at(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = g_r * x2 + g_c * x0
+            w2, w1 = w1, w_at(x1)
+    return x1 if w1 > w2 else x2
+
+
+def _stencil(p, E, x, h):
+    """W at x - h, x and x + h, in one array call; a value that is not
+    finite (an overflow of V) is a ``NumericsError``."""
+    w_m, w_c, w_p = p.W(E, np.array((x - h, x, x + h))).tolist()
+    if not (math.isfinite(w_m) and math.isfinite(w_c) and math.isfinite(w_p)):
+        raise NumericsError(f"W(E={E:g}) overflows at its maximum near r={math.exp(x):.4g}")
+    return w_m, w_c, w_p
+
+
 def analyze_slice(p, E):
     """Locate the maximum of W at energy E; r_t and kappa wait for first use.
 
-    The maximum is bracketed on a log grid and polished by golden-section
-    search; a boundary maximum (the hard wall's) comes from the family.
+    The maximum is bracketed on a log grid, located by a golden-section
+    search that reproduces scipy's bits (``_golden_maximum``) and polished
+    by Newton steps on W', each on one 3-point array call of W.  A W that
+    overflows at the maximum or its stencil is a ``NumericsError``.  A
+    boundary maximum (the hard wall's) comes from the family.
     """
     if math.isnan(E):
         raise ValueError("energy must not be NaN")
@@ -873,35 +923,32 @@ def analyze_slice(p, E):
 
     rho, w, i = _locate_maximum(p, E)
     _reject_multiple_maxima(rho, w, i)
-    neg_w = lambda x: -float(p.W(E, x))
-    res = minimize_scalar(neg_w, bracket=(rho[i - 1], rho[i], rho[i + 1]),
-                          method="golden", options={"xtol": 1e-11})
-    rho_m = float(res.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_m = _golden_maximum(lambda x: float(p.W(E, x)), rho[i - 1:i + 2], w[i - 1:i + 2])
 
-    # golden section localises only to ~sqrt(eps); a few Newton steps on W'
-    # push the stationarity residual to the noise floor
-    h = 1e-5 * max(1.0, abs(rho_m))
-    for _ in range(8):
-        w_p = float(p.W(E, rho_m + h))
-        w_c = float(p.W(E, rho_m))
-        w_m = float(p.W(E, rho_m - h))
-        d1 = (w_p - w_m) / (2.0 * h)
-        d2 = (w_p - 2.0 * w_c + w_m) / (h * h)
-        if d2 >= 0.0:
-            break
-        step = -d1 / d2
-        if abs(step) > 0.1:
-            break
-        rho_m += step
-        if abs(step) < 1e-13 * max(1.0, abs(rho_m)):
-            break
+        # golden section localises only to ~sqrt(eps); a few Newton steps on W'
+        # push the stationarity residual to the noise floor
+        h = 1e-5 * max(1.0, abs(rho_m))
+        w_m, w_c, w_p = _stencil(p, E, rho_m, h)
+        for _ in range(8):
+            d1 = (w_p - w_m) / (2.0 * h)
+            d2 = (w_p - 2.0 * w_c + w_m) / (h * h)
+            if d2 >= 0.0:
+                break
+            step = -d1 / d2
+            if abs(step) > 0.1:
+                break
+            rho_m += step
+            w_m, w_c, w_p = _stencil(p, E, rho_m, h)
+            if abs(step) < 1e-13 * max(1.0, abs(rho_m)):
+                break
 
-    a2 = float(p.W(E, rho_m))
+    a2 = w_c
     if a2 <= 0:
         raise NoClassicalRegion("maximum of W is not positive")
     a = math.sqrt(a2)
 
-    slope = (float(p.W(E, rho_m + h)) - float(p.W(E, rho_m - h))) / (2.0 * h)
+    slope = (w_p - w_m) / (2.0 * h)
     if abs(slope) > 1e-8 * a2:
         raise NumericsError(f"stationarity check failed at the W maximum: |W'| = {abs(slope):.3g}")
 
@@ -910,7 +957,8 @@ def analyze_slice(p, E):
 
 def slice_cache(p):
     """``slice_at(E)``: the slice of p at E, analysed once per exact float,
-    so an energy a solve or a curve visits again keeps its moments."""
+    so an energy a solve or a curve visits again keeps its moments.
+    ``slice_at.energies()`` is a live view of the energies held."""
     slices = {}
 
     def slice_at(E):
@@ -919,4 +967,5 @@ def slice_cache(p):
             s = slices[E] = analyze_slice(p, E)
         return s
 
+    slice_at.energies = slices.keys
     return slice_at

@@ -257,12 +257,14 @@ def _find_flanks(s, cut):
     rho_m = math.log(s.r_m)
     cut_value = cut * (s.A * s.A)
     floor, ceil = _rho_edges(s.p)
-    rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
-    left = _tail_fit(w, rho_a, rho_m, ceil)
-    if s.boundary_max:
-        return _Flanks(rho_m, rho_a, clamped, left, math.log(s.r_t), None)
-    kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
-    right = None if kind == "zero" else _tail_fit(w, rho_b, rho_m, floor)
+    # a V that overflows to +inf walls the flank in: W = -inf is a zero of W
+    with np.errstate(over="ignore"):
+        rho_a, clamped = _root_left(w, rho_m, cut_value, rho_floor=floor)
+        left = _tail_fit(w, rho_a, rho_m, ceil)
+        if s.boundary_max:
+            return _Flanks(rho_m, rho_a, clamped, left, math.log(s.r_t), None)
+        kind, rho_b = _classify_right(w, rho_m, cut_value, rho_ceil=ceil)
+        right = None if kind == "zero" else _tail_fit(w, rho_b, rho_m, floor)
     return _Flanks(rho_m, rho_a, clamped, left, rho_b, right)
 
 

@@ -5,10 +5,11 @@ The condition reads A(E) chi_1(E) = T, whose left side is the d = 1
 state count N_1(E), a strictly increasing function of E.  The slope phi
 inside T = nu + phi lambda depends on E for screened and mixed wells, so
 each level is one bracketed root of F(E) = N_1(E) - nu - phi(E) lambda,
-with N_1 and phi taken from the same slice at every probe.  For pure
-power laws and the hard wall phi is E-independent, and at lambda = 0 it
-drops out, so there T is a constant.  The non-linear mode solves the
-Mellin form of T as the same kind of root.
+with N_1 and phi taken from the same slice at every probe; below a
+threshold that root is bracketed on a ladder of energies that every level
+of the well shares.  For pure power laws and the hard wall phi is
+E-independent, and at lambda = 0 it drops out, so there T is a constant.
+The non-linear mode solves the Mellin form of T as the same kind of root.
 """
 
 from __future__ import annotations
@@ -60,20 +61,51 @@ def _expand(f, x, factor, sign, what, origin=0.0, tries=200):
     raise NoConvergence(f"cannot bracket {what}")
 
 
-def _solve_inner(n1, target, p, xtol=2e-12):
+def _ladder(f, lo, ceiling):
+    """Ratio-8 bracket of the root of f below ceiling: climb from lo, where
+    f < 0, over the rungs ceiling + (lo - ceiling) 8^-k to the first with
+    f > 0.  The rungs are the same floats for every level of a well, so an
+    enumeration analyses each of them once; the ceiling, where f >= 0,
+    closes a ladder that runs out of floats."""
+    while True:
+        hi = ceiling + (lo - ceiling) * 0.125
+        if not hi < ceiling:
+            return lo, ceiling
+        if f(hi) > 0:
+            return lo, hi
+        lo = hi
+
+
+def _solve_inner(n1, target, p, varies, e_max=math.inf):
     """Bracketed root of F(E) = N_1(E) - target(E) on the family's energy
-    window, to ``xtol`` + 1e-13 |E|; a threshold ceiling needs F >= 0, and
-    a root that ``xtol`` rounds onto it is solved again to 1e-13 |E|."""
+    window, or None when F(e_max) < 0 puts the root above the cap e_max.
+
+    A constant target is solved to 2e-12 + 1e-13 |E|; a threshold ceiling
+    needs F >= 0, and a root that 2e-12 rounds onto it is solved again to
+    1e-13 |E|.  A target that ``varies`` with E is solved to 1e-13 |E|
+    alone, since N_1 changes over every decade of ceiling - E; below a
+    threshold its bracket comes from ``_ladder``.  The cap test follows the
+    capacity check and is skipped for a cap at or above the ceiling, which
+    that check covers.
+    """
     floor, ceiling = p.energy_window()
     f = lambda E: n1(E) - target(E)
+    xtol = 1e-300 if varies else 2e-12
+    threshold = floor is not None and ceiling is not None
 
-    if floor is not None and ceiling is not None:
+    if threshold:
         # wells that end at the continuum threshold: capacity check at the top
         n_top, t_top = n1(ceiling), target(ceiling)
         if n_top < t_top:
             raise NoBoundState(
                 f"T = {t_top:g} exceeds the well capacity N1({ceiling:g}) = {n_top:g}")
+    if e_max < (math.inf if ceiling is None else ceiling) and f(e_max) < 0:
+        return None
+
+    if threshold:
         lo = _expand(f, floor, 8.0, -1, "below the deepest level", tries=60)
+        if varies:
+            return brentq(f, *_ladder(f, lo, ceiling), xtol=xtol, rtol=1e-13, maxiter=200)
         E = brentq(f, lo, ceiling, xtol=xtol, rtol=1e-13, maxiter=200)
         if E == ceiling and n_top > t_top:
             # a root within xtol of the threshold: N_1 changes on every decade of -E
@@ -99,7 +131,33 @@ def _solve_inner(n1, target, p, xtol=2e-12):
     return brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200)
 
 
-def quantize_energy(p, level, mode="linear", _slice_at=None):
+def _level_terms(p, level, mode, slice_at):
+    """(target, phi, varies) of one level: T(E) as the quantization
+    condition N_1(E) = T(E) reads it, the slope phi(E) (None in non-linear
+    mode), and whether T depends on E.  The solve and an enumeration's cap
+    test both take T from here."""
+    nu, lam = level.nu, level.lam
+    if mode == "nonlinear":
+        if lam == 0.0:
+            raise LambdaTooSmall("non-linear form needs lambda > 0")
+
+        def target(E):
+            s = slice_at(E)
+            return _mellin_t(level, chi_d(s, 1.0), chi_infinity(s), s.A)
+
+        return target, None, True
+
+    phi_at = lambda E: phi_additive(slice_at(E), level.d)
+    if lam == 0.0:
+        return (lambda E: nu), phi_at, False
+    if p.scale_free:
+        phi = phi_at(p.reference_energy())
+        T = nu + phi * lam
+        return (lambda E: T), (lambda E: phi), False
+    return (lambda E: nu + phi_at(E) * lam), phi_at, True
+
+
+def quantize_energy(p, level, mode="linear", _slice_at=None, _e_max=math.inf):
     """Invert the quantization condition for one level.
 
     ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda as one bracketed
@@ -108,45 +166,35 @@ def quantize_energy(p, level, mode="linear", _slice_at=None):
     0) or is exact at the reference energy (``p.scale_free``).  Near a
     threshold phi rises with E and F need not be monotone: F(ceiling) < 0
     means no level (``NoBoundState``), even if F has a pair of roots below
-    it; otherwise the root is the one brentq reaches between the deepest
-    probe with F < 0 and the ceiling (the only one there in 96 screened
-    wells sampled with l <= 4).
+    it; otherwise the root is the one brentq reaches on the first step of
+    the ladder lo 8^-k (k = 0, 1, ...), up from the deepest probe lo, on
+    which F turns positive (the only root below the ceiling in 96 screened
+    wells sampled with l <= 4).  A constant T keeps the bracket from that
+    deepest probe to the ceiling.
 
     ``"nonlinear"`` solves N_1(E) = T(E) the same way, with T the Mellin
     form built from (chi_1, chi_inf, A) on the slice of each probe.  Its
     validity bound lambda/A >= 0.05 is checked at the root only: the
     shallow probes have A -> inf.
+
+    An enumeration passes its shared slices and its cap ``_e_max``; the
+    result is then None, and no root is solved, when F(_e_max) < 0.
     """
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
     slice_at = _slice_at if _slice_at is not None else slice_cache(p)
     n1 = lambda E: action_I(slice_at(E), 0.0)
-    nu, lam = level.nu, level.lam
+    target, phi_at, varies = _level_terms(p, level, mode, slice_at)
+    E = _solve_inner(n1, target, p, varies, _e_max)
+    if E is None:
+        return None
 
-    if mode == "nonlinear":
-        if lam == 0.0:
-            raise LambdaTooSmall("non-linear form needs lambda > 0")
-        terms = lambda E: (chi_d(slice_at(E), 1.0), chi_infinity(slice_at(E)), slice_at(E).A)
-        E = _solve_inner(n1, lambda E: _mellin_t(level, *terms(E)), p, xtol=1e-300)
-        T = teff_nonlinear(level, *terms(E))
-        return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
-                             mode=mode, phi=None, iterations=1, residual=abs(n1(E) - T))
-
-    phi_at = lambda E: phi_additive(slice_at(E), level.d)
-    if lam == 0.0:
-        E = _solve_inner(n1, lambda E: nu, p)
-        phi = phi_at(E)
-    elif p.scale_free:
-        phi = phi_at(p.reference_energy())
-        T = nu + phi * lam
-        E = _solve_inner(n1, lambda E: T, p)
+    if phi_at is None:
+        s = slice_at(E)
+        T, phi = teff_nonlinear(level, chi_d(s, 1.0), chi_infinity(s), s.A), None
     else:
-        # N_1 changes over every decade of ceiling - E, so only a relative
-        # tolerance keeps the residual small for a level right at a threshold
-        E = _solve_inner(n1, lambda E: nu + phi_at(E) * lam, p, xtol=1e-300)
         phi = phi_at(E)
-
-    T = nu + phi * lam
+        T = level.nu + phi * level.lam
     return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
                          mode=mode, phi=phi, iterations=1, residual=abs(n1(E) - T))
 
@@ -156,28 +204,38 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
 
     For each l the radial index is incremented until the well runs out of
     capacity or the energy cap is passed (T grows with n_r, so both
-    stopping rules are monotone).  The levels share one slice cache, so
-    the energies their solves have in common are analysed once.
+    stopping rules are monotone).  Once a level lies below the cap, the
+    cap is tested before each further level is solved: F(e_max) < 0, on
+    the slice at e_max that every level shares, ends the channel, so no
+    level above the cap is solved.  A cap at or below the floor of the
+    energy window holds no level and analyses no slice.  The levels share
+    one slice cache, so the energies their solves have in common (the cap,
+    the threshold and the rungs of the ladder below it) are analysed once.
     """
     if math.isnan(e_max):
         raise ValueError("energy cap must not be NaN")
-    ceiling = p.energy_window()[1]
+    floor, ceiling = p.energy_window()
     if e_max == math.inf and ceiling is None:
         # a well with no continuum threshold has infinitely many levels
         raise ValueError("energy cap must be finite for a well without a threshold")
     if p.levels_accumulate and e_max >= ceiling:
         raise ValueError(f"levels accumulate at the threshold {ceiling:g}; "
                          "the energy cap must lie below it")
+    if floor is not None and e_max <= floor:
+        return []
     slice_at = slice_cache(p)
     found = []
     for l in range(l_max + 1):
         for n_r in range(200):
             try:
+                # the cap is tested once a level lies below it, which keeps
+                # a cap far below the spectrum off the slice analysis
                 entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode,
-                                        _slice_at=slice_at)
+                                        _slice_at=slice_at,
+                                        _e_max=e_max if found else math.inf)
             except NoBoundState:
                 break
-            if entry.E > e_max:
+            if entry is None or entry.E > e_max:
                 break
             found.append(entry)
         else:

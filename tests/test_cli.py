@@ -202,6 +202,13 @@ class TestGoldenOutput:
         assert len(result.stdout.splitlines()) == 353
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == _README_DIAGRAM_SHA256
 
+    def test_readme_diagram_work(self, runner, slice_counts):
+        # 235 energies with each crossing bracketed by the nearest energies
+        # the curve already holds; 256 when every search spanned its whole
+        # grid interval
+        assert runner.invoke(cli, _README_DIAGRAM).exit_code == 0
+        assert len(slice_counts) <= 235
+
 
 class TestSpectrum:
     def test_levels(self, runner):
@@ -233,10 +240,20 @@ class TestSpectrum:
             row.split(",") for row in _YUKAWA50_ROWS.split()]
 
     def test_yukawa_enumeration_work(self, runner, slice_counts):
-        # one bracketed root per level analyses 322 energies; the phi fixed
-        # point around repeated root solves analysed 1775
+        # the cap test and the shared ladder of rungs below the threshold
+        # analyse 164 energies; one bracketed root per level, each level
+        # above the cap solved too, analysed 322, and the phi fixed point
+        # around repeated root solves 1775
         assert runner.invoke(cli, _YUKAWA50_ENUMERATION).exit_code == 0
-        assert len(slice_counts) <= 400
+        assert len(slice_counts) <= 164
+
+    def test_quark_enumeration_work(self, runner, slice_counts):
+        # 105 energies with the cap test; 135 when each channel's first
+        # level above the cap was solved too
+        result = runner.invoke(cli, ["spectrum", "--potential", "quark:alpha=0.5,delta=1,B=3",
+                                     "--enumerate", "--emax", "8", "--lmax", "3"])
+        assert result.exit_code == 0
+        assert len(slice_counts) <= 105
 
     def test_hard_wall_level_near_float_max(self, run_cli):
         # the ground state 2.32014 / R^2 lies far above a fixed bracket budget;
@@ -312,6 +329,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_quark_overflow_spectrum_is_3(self, run_cli):
+        # r^delta overflows to +inf just beyond r = 1, a wall that W peaks on
+        proc = run_cli("spectrum", "--potential", "quark:alpha=0.5,delta=1e300,B=3",
+                       "--enumerate", "--emax", "8", "--lmax", "1")
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr and "overflows" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_quark_overflow_diagram_skips_points(self, run_cli):
+        # the deep energies peak inside the wall at r = 1 and keep their points
+        proc = run_cli("diagram", "--potential", "quark:alpha=0.5,delta=1e300,B=3",
+                       "--format", "json")
+        assert proc.returncode == 0
+        curve = json.loads(proc.stdout)["curves"][0]
+        assert curve["points"]
+        assert curve["notes"] and all("overflows" in note for note in curve["notes"])
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_wall_amplitude_overflow_is_3(self, run_cli):
         # sqrt(2E) R overflows at the reference energy 1/R^2 ~ 1e308

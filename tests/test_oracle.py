@@ -174,13 +174,15 @@ def _seeded(p, lvl, grid, tol):
     return _windowed_eigenvalue(p, lvl, grid, seed, oracle._WINDOW * abs(seed) + tol, tol)
 
 
-def _richardson(p, lvl, grid, tol):
-    """Richardson value of the level from ``grid`` and its halving."""
-    rho_lo, rho_hi, n = grid
-    e_h = _seeded(p, lvl, grid, tol)
-    e_h2 = _windowed_eigenvalue(p, lvl, (rho_lo, rho_hi, 2 * n), e_h,
-                                oracle._WINDOW * abs(e_h) + tol, tol)
-    return (4.0 * e_h2 - e_h) / 3.0
+def _romberg(p, lvl, grid):
+    """Romberg value of the level from ``grid`` (h, with a multiple of 4
+    intervals) and its coarsenings 2h and 4h, as ``oracle._refine`` gives
+    it, seeded on ``grid`` and with the level's cut bypassed, so the grid
+    is used as it stands."""
+    e_lo, e_hi = bracket_bound_state(p, lvl)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_level_grid", lambda p, level, grid, e_hi, seed: grid)
+        return oracle._refine(p, lvl, e_lo, e_hi, grid, _seed(p, lvl, grid))
 
 
 def _grid_energies(p, lvl, refinements):
@@ -190,11 +192,11 @@ def _grid_energies(p, lvl, refinements):
     return [_seeded(p, lvl, (rho_lo, rho_hi, int(n * 2.0**k)), tol) for k in refinements]
 
 
-def _richardson_drift(p, lvl):
-    """Relative change of the Richardson value from grids (h, h/2) to (h/2, h/4)."""
-    e1, e2, e4 = _grid_energies(p, lvl, (0, 1, 2))
-    coarse = (4.0 * e2 - e1) / 3.0
-    fine = (4.0 * e4 - e2) / 3.0
+def _romberg_drift(p, lvl):
+    """Relative change of the Romberg value from grids (4h, 2h, h) to (2h, h, h/2)."""
+    (rho_lo, rho_hi, n), _ = _refinement_grid(p, lvl)
+    coarse = _romberg(p, lvl, (rho_lo, rho_hi, n))
+    fine = _romberg(p, lvl, (rho_lo, rho_hi, 2 * n))
     return abs(fine / coarse - 1.0)
 
 
@@ -548,7 +550,7 @@ class TestInnerEdge:
 
 class TestConvergence:
     def test_second_order_decay(self):
-        # the Richardson step assumes an h^2 error: each halving of the
+        # the Romberg step assumes an h^2 error: each halving of the
         # step should shrink the single-grid error about 4 times
         airy = -float(ai_zeros(1)[0][0]) * 2.0 ** (-1.0 / 3.0)
         for p, lvl, exact in ((PowerLaw(b=1.0, mu=1.0), QuantumLevel(0, 0, 3), airy),
@@ -558,12 +560,12 @@ class TestConvergence:
             assert 3.0 < errs[1] / errs[2] < 5.0
 
     def test_grid_halving_threshold(self, coulomb):
-        assert _richardson_drift(coulomb, QuantumLevel(1, 1, 3)) < 1e-9
+        assert _romberg_drift(coulomb, QuantumLevel(1, 1, 3)) < 1e-9
 
     def test_screened_channel(self):
         # a screened level has no closed form; check stability under halving
         p = parse_potential("screened:kind=exp,Z=10")
-        assert _richardson_drift(p, QuantumLevel(1, 0, 3)) < 1e-9
+        assert _romberg_drift(p, QuantumLevel(1, 0, 3)) < 1e-9
 
 
 _EDGE_CASES = [
@@ -581,15 +583,17 @@ class TestGridEdges:
 
     @pytest.mark.parametrize("p,lvl", _EDGE_CASES, ids=_EDGE_IDS)
     def test_free_edge_moves_no_value(self, p, lvl):
-        # psi = 0 sits on a hard wall, so there the left edge is the free one
-        (rho_lo, rho_hi, n), tol = _refinement_grid(p, lvl)
-        e = _richardson(p, lvl, (rho_lo, rho_hi, n), tol)
-        for k in (1, 5, 29):
+        # psi = 0 sits on a hard wall, so there the left edge is the free one;
+        # the edge grows by multiples of 4 steps, so the grids 2h and 4h
+        # keep the step too
+        (rho_lo, rho_hi, n), _ = _refinement_grid(p, lvl)
+        e = _romberg(p, lvl, (rho_lo, rho_hi, n))
+        for k in (4, 20, 28):
             if isinstance(p, HardWall):
                 grid = (rho_lo - k * oracle._STEP, rho_hi, n + k)
             else:
                 grid = (rho_lo, rho_hi + k * oracle._STEP, n + k)
-            assert _richardson(p, lvl, grid, tol) == pytest.approx(e, rel=1e-12, abs=0.0)
+            assert _romberg(p, lvl, grid) == pytest.approx(e, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p,lvl", _EDGE_CASES + [
         (PowerLaw(b=0.5, mu=2.0), QuantumLevel(2, 1, 3)),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_bvp
+from scipy.optimize import minimize_scalar
 
 from teff import (
     HardWall,
@@ -253,6 +254,78 @@ class TestAnalyzeSlice:
         sa = analyze_slice(ana, -0.1)
         assert st.A == pytest.approx(sa.A, rel=1e-7)
         assert st.r_m == pytest.approx(sa.r_m, rel=1e-5)
+
+
+def _scipy_slice(p, E):
+    """(r_m, A) by the search ``analyze_slice`` made before it had its own
+    golden section: scipy's on -W from the scan's bracket, then the Newton
+    polish on scalar W calls."""
+    rho, w, i = potentials._locate_maximum(p, E)
+    res = minimize_scalar(lambda x: -float(p.W(E, x)), bracket=(rho[i - 1], rho[i], rho[i + 1]),
+                          method="golden", options={"xtol": 1e-11})
+    rho_m = float(res.x)
+    h = 1e-5 * max(1.0, abs(rho_m))
+    for _ in range(8):
+        w_p, w_c, w_m = (float(p.W(E, rho_m + k * h)) for k in (1, 0, -1))
+        d1 = (w_p - w_m) / (2.0 * h)
+        d2 = (w_p - 2.0 * w_c + w_m) / (h * h)
+        if d2 >= 0.0:
+            break
+        step = -d1 / d2
+        if abs(step) > 0.1:
+            break
+        rho_m += step
+        if abs(step) < 1e-13 * max(1.0, abs(rho_m)):
+            break
+    return math.exp(rho_m), math.sqrt(float(p.W(E, rho_m)))
+
+
+# every analytic family with an interior maximum, each at energies from
+# deep in the well to just below (or at) its threshold
+_GOLDEN_CASES = [
+    ("power:b=-1,mu=-1", [-50.0, -0.5, -1e-3, -1e-7]),
+    ("power:b=-2,mu=-0.5", [-10.0, -0.3, -1e-4]),
+    ("power:b=-1,mu=-1.7", [-3.0, -1e-3]),
+    ("power:b=1,mu=0.3", [1.5, 40.0]),
+    ("power:b=1,mu=1", [1e-3, 2.7, 300.0]),
+    ("power:b=0.5,mu=2", [0.01, 1.0, 1e4]),
+    ("power:b=2,mu=6", [0.1, 50.0]),
+    ("screened:kind=exp,Z=50", [-2e4, -1200.0, -3.0, -1e-6, 0.0]),
+    ("screened:kind=inv2,Z=7", [-40.0, -0.5, -1e-9, 0.0]),
+    ("screened:kind=inv25,Z=30", [-500.0, -2.0, -1e-5, 0.0]),
+    ("screened:kind=tf,Z=20", [-300.0, -1.0, -1e-8, 0.0]),
+    ("quark:alpha=0.5,delta=1,B=3", [-60.0, -1.0, 0.0, 4.5, 200.0]),
+    ("quark:alpha=0.2,delta=2,B=1", [-5.0, 0.7, 30.0]),
+]
+
+
+class TestGoldenSearch:
+    @pytest.mark.parametrize("spec,energies", _GOLDEN_CASES, ids=[c[0] for c in _GOLDEN_CASES])
+    def test_same_bits_as_scipy(self, spec, energies):
+        p = parse_potential(spec)
+        for E in energies:
+            s = analyze_slice(p, E)
+            assert (s.r_m, s.A) == _scipy_slice(p, E)
+
+    def test_four_fewer_w_calls(self, monkeypatch):
+        # the bracket values come from the scan, and the middle point is
+        # not evaluated again
+        p = parse_potential("screened:kind=exp,Z=50")
+        calls = []
+        original = potentials.Potential.W
+
+        def counted(self, E, rho):
+            calls.append(np.ndim(rho))
+            return original(self, E, rho)
+
+        monkeypatch.setattr(potentials.Potential, "W", counted)
+        analyze_slice(p, -3.0)
+        ours = calls.count(0)
+        calls.clear()
+        rho, w, i = potentials._locate_maximum(p, -3.0)
+        minimize_scalar(lambda x: -float(p.W(-3.0, x)), bracket=(rho[i - 1], rho[i], rho[i + 1]),
+                        method="golden", options={"xtol": 1e-11})
+        assert ours == calls.count(0) - 4
 
 
 def _no_turning_point(*args):

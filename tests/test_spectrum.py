@@ -3,12 +3,14 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
 from teff import spectrum
 from teff import (
     LambdaTooSmall,
     NoBoundState,
+    NoClassicalRegion,
     PowerLaw,
     QuantumLevel,
     analyze_slice,
@@ -292,6 +294,52 @@ class TestSharedSlices:
     def test_cap_below_accumulation_point(self):
         states = enumerate_bound_states(PowerLaw(b=-1.0, mu=-1.0), -0.1, 3, 1)
         assert [s.E for s in states] == pytest.approx([-0.5, -0.125, -0.125], rel=1e-8)
+
+
+class TestCapRule:
+    """An enumeration solves no level above its cap."""
+
+    @pytest.mark.parametrize("spec,e_max", [("power:b=1,mu=2", -1.0), ("power:b=1,mu=2", 0.0),
+                                            ("wall:R=1", 0.0), ("wall:R=1", -1.0),
+                                            ("screened:kind=exp,Z=5", -1e6)])
+    def test_cap_at_or_below_the_floor_solves_nothing(self, monkeypatch, slice_counts,
+                                                      spec, e_max):
+        # the energy window's floor lies below every level: no slice at the
+        # cap is analysed, where a confining well has no classical region
+        def solve(*args, **kwargs):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(spectrum, "quantize_energy", solve)
+        assert enumerate_bound_states(parse_potential(spec), e_max, 3, 1) == []
+        assert not slice_counts
+
+    @pytest.mark.parametrize("spec,e_max", [("screened:kind=exp,Z=50", -0.3),
+                                            ("quark:alpha=0.5,delta=1,B=3", 8.0),
+                                            ("power:b=-1,mu=-1", -0.025),
+                                            ("power:b=1,mu=1", 5.0)])
+    def test_level_above_the_cap_is_not_solved(self, monkeypatch, spec, e_max):
+        # one root per level below the cap; F(e_max) < 0 rejects the next
+        # level of each channel before any root search
+        roots = []
+
+        def recorded(*args, **kwargs):
+            roots.append(brentq(*args, **kwargs))
+            return roots[-1]
+
+        monkeypatch.setattr(spectrum, "brentq", recorded)
+        states = enumerate_bound_states(parse_potential(spec), e_max, 3, 2)
+        assert len(states) >= 3
+        assert sorted(roots) == [s.E for s in states]
+
+    def test_cap_far_below_the_spectrum_is_empty(self):
+        # no slice reaches E = -1e50 (W <= 0 on the whole admissible grid),
+        # so the cap is tested only once a level lies below it
+        assert enumerate_bound_states(PowerLaw(b=-1.0, mu=-1.0), -1e50, 3, 1) == []
+
+    def test_mu_gap_still_raises(self):
+        # V = r^0.005 puts the W maximum beyond the admissible radii
+        with pytest.raises(NoClassicalRegion):
+            enumerate_bound_states(PowerLaw(b=1.0, mu=0.005), 5.0, 3, 1)
 
 
 # Energies of the phi fixed-point solver that preceded the one-root solve.
