@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import LambdaTooSmall, TeffError
-from .potentials import analyze_slice, slice_cache
 from .transforms import chi_d, phi_additive
 
 __all__ = [
@@ -220,9 +219,10 @@ def ordering_theorem_signs(p, E_probe):
     Identity one compares sgn(kappa + 1) with sgn(1 - phi); identity two
     compares sgn(kappa - 2) with sgn(1 - 2 phi).  The kappa side is probed
     on 256 log-spaced radii inside the classically accessible region
-    r < r_t; a mixed sign there makes the identity not applicable.
+    r < r_t of the slice p holds at E_probe; a mixed sign there makes the
+    identity not applicable.
     """
-    s = analyze_slice(p, E_probe)
+    s = p.slice_at(E_probe)
     phi = phi_additive(s, 3)
     r_t = s.r_t if math.isfinite(s.r_t) else 1e3 * s.r_m
     radii = np.geomspace(1e-3 * r_t, r_t, 256)
@@ -353,16 +353,22 @@ def _curve_point(s, d):
 
 def _held_bracket(gap, lo, g_lo, hi, held):
     """Narrow the sign change of ``gap`` on [lo, hi], where gap(lo) = g_lo,
-    to the nearest energies in ``held`` around it; the curve points of
-    those slices are already computed, so this costs no slice."""
-    for E in sorted(E for E in held if lo < E < hi):
+    to the nearest energies in ``held`` around it, by bisection over the
+    held energies inside; those slices are already analysed, so this costs
+    no slice, and a gap with one sign change on [lo, hi] evaluates on
+    about log2 of them."""
+    inner = sorted(E for E in held if lo < E < hi)
+    while inner:
+        i = len(inner) // 2
         try:
-            g = gap(E)
-        except TeffError:  # a grid energy whose curve point was skipped
+            g = gap(inner[i])
+        except TeffError:  # a held energy whose curve point cannot be formed
+            del inner[i]
             continue
         if g == 0.0 or (g > 0.0) != (g_lo > 0.0):
-            return lo, E
-        lo, g_lo = E, g
+            hi, inner = inner[i], inner[:i]
+        else:
+            lo, g_lo, inner = inner[i], g, inner[i + 1:]
     return lo, hi
 
 
@@ -373,8 +379,15 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
     curve points are dropped with a note.  Crossings are located by sign
     change of (curve - line) over the energy grid and refined by brentq
     in E (to rtol 1e-10), on a bracket narrowed to the nearest energies
-    that the curve's slice cache already holds from the grid and from the
-    searches of earlier crossings.
+    whose slices the potential already holds (``p.held_energies()``):
+    the grid, the searches of earlier crossings, and any solve run on the
+    same object before.  After ``enumerate_bound_states`` on p, each
+    crossing of an enumerated level usually lies between two held
+    energies closer than brentq's tolerance, so it costs no new slice.
+    Every slice analysed here stays on p (about 1 KB each; a new
+    ``parse_potential`` starts empty).  The curve points are the same
+    bits whatever p holds; a crossing's last bits, inside rtol 1e-10,
+    depend on the slices already held.
     """
     phi_lo, phi_hi = phi_range
     if not (0.0 < phi_lo < phi_hi <= 2.5):
@@ -391,10 +404,9 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
         label = p.spec_string()
         pts = []
         notes = []
-        slice_at = slice_cache(p)
         for E in e_grid:
             try:
-                phi, t_val = _curve_point(slice_at(E), d)
+                phi, t_val = _curve_point(p.slice_at(E), d)
             except TeffError as exc:
                 notes.append(f"E={E:g} skipped: {exc}")
                 continue
@@ -409,11 +421,11 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
                 if g0 == 0.0 or g0 * g1 >= 0.0:
                     continue
                 func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
-                    _curve_point(slice_at(E), d))
+                    _curve_point(p.slice_at(E), d))
                 (lo, g_lo), (hi, _) = sorted(((e0, g0), (e1, g1)))
-                lo, hi = _held_bracket(func, lo, g_lo, hi, slice_at.energies())
+                lo, hi = _held_bracket(func, lo, g_lo, hi, p.held_energies())
                 e_star = brentq(func, lo, hi, rtol=1e-10, maxiter=200)
-                phi_star, t_star = _curve_point(slice_at(e_star), d)
+                phi_star, t_star = _curve_point(p.slice_at(e_star), d)
                 crossings.append(DiagramCrossing(
                     line_label=spectroscopic_label(lvl.n_r, lvl.l, d),
                     curve_label=label, phi=phi_star, t_value=t_star, E=float(e_star)))

@@ -15,6 +15,15 @@ whose single maximum fixes the amplitude A = sqrt(max W) and its
 location r_m.  ``analyze_slice`` packages it as an ``EnergySlice``, whose
 ``r_t`` and ``kappa_at_rm`` are lazy (computed on first use).
 
+A potential keeps every slice analysed on it: ``p.slice_at(E)`` analyses
+each exact float E once for the life of p (about 1 KB a slice, moments
+included), and ``p.held_energies()`` is a live view of the energies held.
+A slice is a deterministic function of (p, E), so what p already holds
+changes no slice; a new ``parse_potential`` starts empty.  The spectrum
+solver, the transform profile, the sign theorems and the diagram all take
+their slices from there; ``analyze_slice`` itself is the uncached
+primitive, which the oracle calls directly.
+
 ``W``, ``V`` and the screenings' ``g`` keep a float a float (the point-wise
 root and maximum searches build no 0-d ndarray) and turn anything else into
 an ndarray.  Both paths give the same bits, which lets the quadratures
@@ -49,7 +58,6 @@ __all__ = [
     "EnergySlice",
     "parse_potential",
     "analyze_slice",
-    "slice_cache",
     "tf_screening",
     "tf_initial_slope",
 ]
@@ -412,6 +420,27 @@ class Potential:
     def boundary_slice(self, E):
         """The slice at E where W peaks on the boundary; None if inside."""
         return None
+
+    def slice_at(self, E):
+        """The slice of this potential at E, analysed once per exact float
+        and kept on the potential, so every later call at E, from any
+        solve, profile or curve, finds its moments already integrated.
+        Threads that ask for a new E at once may each analyse it; the
+        slices they get are equal, and the last one stays."""
+        s = self._slices.get(E)
+        if s is None:
+            s = self._slices[E] = analyze_slice(self, E)
+        return s
+
+    def held_energies(self):
+        """A live view of the energies whose slices the potential holds."""
+        return self._slices.keys()
+
+    @cached_property
+    def _slices(self):
+        # in the instance __dict__, which a frozen dataclass still lets a
+        # cached_property fill; not a field, so equality ignores it
+        return {}
 
     def _check_scales(self):
         """Raise PotentialError unless the family's energy scales are finite."""
@@ -953,19 +982,3 @@ def analyze_slice(p, E):
         raise NumericsError(f"stationarity check failed at the W maximum: |W'| = {abs(slope):.3g}")
 
     return EnergySlice(p=p, E=E, r_m=math.exp(rho_m), A=a)
-
-
-def slice_cache(p):
-    """``slice_at(E)``: the slice of p at E, analysed once per exact float,
-    so an energy a solve or a curve visits again keeps its moments.
-    ``slice_at.energies()`` is a live view of the energies held."""
-    slices = {}
-
-    def slice_at(E):
-        s = slices.get(E)
-        if s is None:
-            s = slices[E] = analyze_slice(p, E)
-        return s
-
-    slice_at.energies = slices.keys
-    return slice_at

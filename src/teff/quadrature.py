@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import beta as beta_fn
 
-from .errors import Divergent, NoClassicalRegion
+from .errors import Divergent, NoClassicalRegion, NumericsError
 
 __all__ = [
     "action_I",
@@ -81,8 +81,16 @@ def _quad(f, a, b):
     with one call of ``f``, and the next 20 requests are served from them;
     a request nothing predicted is evaluated alone, so no value depends on
     the prediction.
+
+    QAGS reports its subdivision limit, ``_MAX_SUBDIVISIONS`` intervals,
+    when it bisects for the last time; that bisection asks for panel
+    2 * limit - 2, and the request raises ``NumericsError`` instead (the
+    warning QAGS would print reaches no caller).
     """
     halves = {0.5 * (a + b): (a, b)}  # centre -> (lo, hi) of a panel QAGS may ask for
+    # panels QAGS evaluates before its last bisection: the first, then two
+    # for each of limit - 2 bisections
+    before_last = 2 * _MAX_SUBDIVISIONS - 3
     ready = {}  # abscissa -> value on the panel being evaluated
 
     def one(x):
@@ -92,6 +100,9 @@ def _quad(f, a, b):
         panel = halves.pop(x, None)
         if panel is None:
             return f([x])[0]
+        if len(halves) >= before_last:  # each evaluated panel left one net entry
+            raise NumericsError(f"the integral on [{a:.6g}, {b:.6g}] needs more than "
+                                f"{_MAX_SUBDIVISIONS} subdivisions")
         lo, hi = panel
         nodes = _panel_nodes(lo, hi)
         ready.clear()

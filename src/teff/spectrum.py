@@ -10,6 +10,13 @@ threshold that root is bracketed on a ladder of energies that every level
 of the well shares.  For pure power laws and the hard wall phi is
 E-independent, and at lambda = 0 it drops out, so there T is a constant.
 The non-linear mode solves the Mellin form of T as the same kind of root.
+
+Every probe takes its slice from the potential (``p.slice_at``), which
+keeps it, about 1 KB a slice, for as long as p lives: the levels of one
+enumeration, later single-level solves and a diagram drawn afterwards on
+the same object share the energies they have in common.  A slice is a
+deterministic function of (p, E), so no level depends on what p already
+holds; a new ``parse_potential`` starts with no slices.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .errors import LambdaTooSmall, NoBoundState, NoConvergence
 from .ordering import QuantumLevel, _mellin_t, teff_nonlinear
-from .potentials import PowerLaw, slice_cache
+from .potentials import PowerLaw
 from .quadrature import action_I
 from .transforms import chi_d, chi_infinity, phi_additive
 
@@ -131,7 +138,7 @@ def _solve_inner(n1, target, p, varies, e_max=math.inf):
     return brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200)
 
 
-def _level_terms(p, level, mode, slice_at):
+def _level_terms(p, level, mode):
     """(target, phi, varies) of one level: T(E) as the quantization
     condition N_1(E) = T(E) reads it, the slope phi(E) (None in non-linear
     mode), and whether T depends on E.  The solve and an enumeration's cap
@@ -142,12 +149,12 @@ def _level_terms(p, level, mode, slice_at):
             raise LambdaTooSmall("non-linear form needs lambda > 0")
 
         def target(E):
-            s = slice_at(E)
+            s = p.slice_at(E)
             return _mellin_t(level, chi_d(s, 1.0), chi_infinity(s), s.A)
 
         return target, None, True
 
-    phi_at = lambda E: phi_additive(slice_at(E), level.d)
+    phi_at = lambda E: phi_additive(p.slice_at(E), level.d)
     if lam == 0.0:
         return (lambda E: nu), phi_at, False
     if p.scale_free:
@@ -157,7 +164,7 @@ def _level_terms(p, level, mode, slice_at):
     return (lambda E: nu + phi_at(E) * lam), phi_at, True
 
 
-def quantize_energy(p, level, mode="linear", _slice_at=None, _e_max=math.inf):
+def quantize_energy(p, level, mode="linear", _e_max=math.inf):
     """Invert the quantization condition for one level.
 
     ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda as one bracketed
@@ -177,20 +184,20 @@ def quantize_energy(p, level, mode="linear", _slice_at=None, _e_max=math.inf):
     validity bound lambda/A >= 0.05 is checked at the root only: the
     shallow probes have A -> inf.
 
-    An enumeration passes its shared slices and its cap ``_e_max``; the
-    result is then None, and no root is solved, when F(_e_max) < 0.
+    Slices come from ``p.slice_at`` and stay on p.  An enumeration passes
+    its cap ``_e_max``; the result is then None, and no root is solved,
+    when F(_e_max) < 0.
     """
     if mode not in ("linear", "nonlinear"):
         raise ValueError(f"unknown mode {mode!r}")
-    slice_at = _slice_at if _slice_at is not None else slice_cache(p)
-    n1 = lambda E: action_I(slice_at(E), 0.0)
-    target, phi_at, varies = _level_terms(p, level, mode, slice_at)
+    n1 = lambda E: action_I(p.slice_at(E), 0.0)
+    target, phi_at, varies = _level_terms(p, level, mode)
     E = _solve_inner(n1, target, p, varies, _e_max)
     if E is None:
         return None
 
     if phi_at is None:
-        s = slice_at(E)
+        s = p.slice_at(E)
         T, phi = teff_nonlinear(level, chi_d(s, 1.0), chi_infinity(s), s.A), None
     else:
         phi = phi_at(E)
@@ -208,9 +215,10 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
     cap is tested before each further level is solved: F(e_max) < 0, on
     the slice at e_max that every level shares, ends the channel, so no
     level above the cap is solved.  A cap at or below the floor of the
-    energy window holds no level and analyses no slice.  The levels share
-    one slice cache, so the energies their solves have in common (the cap,
-    the threshold and the rungs of the ladder below it) are analysed once.
+    energy window holds no level and analyses no slice.  The levels take
+    their slices from p, so the energies their solves have in common (the
+    cap, the threshold and the rungs of the ladder below it) are analysed
+    once, and the slices stay on p for a diagram drawn after it.
     """
     if math.isnan(e_max):
         raise ValueError("energy cap must not be NaN")
@@ -223,7 +231,6 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
                          "the energy cap must lie below it")
     if floor is not None and e_max <= floor:
         return []
-    slice_at = slice_cache(p)
     found = []
     for l in range(l_max + 1):
         for n_r in range(200):
@@ -231,7 +238,6 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
                 # the cap is tested once a level lies below it, which keeps
                 # a cap far below the spectrum off the slice analysis
                 entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode,
-                                        _slice_at=slice_at,
                                         _e_max=e_max if found else math.inf)
             except NoBoundState:
                 break

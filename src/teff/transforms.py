@@ -8,7 +8,8 @@ d and E (1 for the Coulomb well, 1/2 for the oscillator).  The slope
 number T = nu + phi*lambda comes in four flavours (additive,
 multiplicative, asymptotic, Mellin-type); their mutual closeness is the
 quality diagnostic of the whole method.  All but ``chi_profile`` take
-one energy slice ``s`` (``potentials.analyze_slice``).
+one energy slice ``s`` (``potentials.analyze_slice``); ``chi_profile``
+takes p and E and the slice that p holds at E (``p.slice_at``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from scipy.special import betaln
 
 from .errors import NumericsError
-from .potentials import ScreenedCoulomb, analyze_slice
+from .potentials import ScreenedCoulomb
 from .quadrature import _w_func, reduced_moment
 
 __all__ = [
@@ -226,8 +227,9 @@ class ChiProfile:
 
 
 def chi_profile(p, E, ds=(2, 3)):
-    """Build the full transform profile at one energy for the requested d's."""
-    s = analyze_slice(p, E)
+    """Build the full transform profile at one energy for the requested d's,
+    on the slice p holds at E (analysed and kept on p if it is new)."""
+    s = p.slice_at(E)
     c1 = chi_d(s, 1.0)
     c_inf = chi_infinity(s)
     chis, phis, phims, phias, chidas, ratios, ss, ws = {}, {}, {}, {}, {}, {}, {}, {}

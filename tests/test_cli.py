@@ -348,6 +348,16 @@ class TestExitCodes:
         assert curve["notes"] and all("overflows" in note for note in curve["notes"])
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_subnormal_grid_skips_points(self, run_cli):
+        # the default grid reaches e0 2^-6 ~ 4e-310, where QAGS runs out of
+        # subdivisions on a moment: that point is skipped with a note
+        proc = run_cli("diagram", "--potential", "power:b=1e-308,mu=1", "--format", "json")
+        assert proc.returncode == 0
+        curve = json.loads(proc.stdout)["curves"][0]
+        assert curve["points"]
+        assert any("subdivisions" in note for note in curve["notes"])
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_wall_amplitude_overflow_is_3(self, run_cli):
         # sqrt(2E) R overflows at the reference energy 1/R^2 ~ 1e308
         proc = run_cli("spectrum", "--potential", "wall:R=1e-154", "--levels", "0:0")

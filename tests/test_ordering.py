@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from teff import ordering
 from teff import (
     LambdaTooSmall,
+    NumericsError,
     PowerLaw,
     QuantumLevel,
     analyze_slice,
@@ -13,6 +15,7 @@ from teff import (
     diagram_data,
     diagram_to_csv,
     diagram_to_json,
+    enumerate_bound_states,
     leading_degeneracy,
     ordering_theorem_signs,
     parse_potential,
@@ -286,9 +289,70 @@ class TestDiagram:
         assert len(dd.crossings) >= 2
         assert max(slice_counts.values()) == 1
 
+    def test_held_bracket_bisects(self):
+        # one sign change among 999 held energies is bracketed by its two
+        # neighbours after about log2(999) evaluations; a held energy whose
+        # curve point fails (here the first midpoint) is passed over
+        held = [k / 1000 for k in range(1, 1000)]
+        calls = []
+
+        def gap(E):
+            calls.append(E)
+            if E == 0.5:
+                raise NumericsError("no curve point")
+            return E - 0.6183
+
+        assert ordering._held_bracket(gap, 0.0, -0.6183, 1.0, held) == (0.618, 0.619)
+        assert calls[0] == 0.5 and len(calls) <= 12
+
     def test_bad_phi_range(self):
         with pytest.raises(ValueError):
             diagram_data([QuantumLevel(0, 0, 3)], (0.0, 2.0), [])
+
+
+# (spec, cap, l_max) of enumerations that a diagram is drawn after
+_ENUMERATIONS = {
+    "yukawa": ("screened:kind=exp,Z=50", -0.05, 4),
+    "quark": ("quark:alpha=0.5,delta=1,B=3", 8.0, 3),
+    "linear": ("power:b=1,mu=1", 5.0, 3),
+    "coulomb": ("power:b=-1,mu=-1", -0.025, 3),
+}
+
+
+def _enumerated(name):
+    """A potential that one enumeration has run on, and its levels."""
+    spec, e_max, l_max = _ENUMERATIONS[name]
+    p = parse_potential(spec)
+    return p, enumerate_bound_states(p, e_max, 3, l_max)
+
+
+class TestDiagramAfterEnumeration:
+    """A diagram drawn on the object an enumeration ran on finds each
+    crossing of an enumerated level among the slices the solves left."""
+
+    @pytest.mark.parametrize("name", ["yukawa", "quark"])
+    def test_crossings_cost_no_slice(self, slice_counts, name):
+        p, states = _enumerated(name)
+        slice_counts.clear()
+        grid = p.default_energy_grid()
+        levels = [QuantumLevel(s.n_r, s.l, 3) for s in states]
+        dd = diagram_data(levels, (0.1, 2.2), [(p, grid)])
+        assert len(dd.crossings) == len(states)
+        # 3 (Yukawa) and 2 (quarkonium) energies beyond the grid; a diagram
+        # on a fresh potential analyses 133 and 91
+        assert len(slice_counts) <= len(grid) + 4
+
+    @pytest.mark.parametrize("name", list(_ENUMERATIONS))
+    def test_crossing_is_the_level(self, name):
+        # the crossing brackets close on the solves' last probes; a fresh
+        # potential leaves the crossings up to 3e-11 from the levels
+        p, states = _enumerated(name)
+        by_label = {spectroscopic_label(s.n_r, s.l, 3): s.E for s in states}
+        levels = [QuantumLevel(s.n_r, s.l, 3) for s in states]
+        dd = diagram_data(levels, (0.1, 2.2), [(p, p.default_energy_grid())])
+        assert dd.crossings
+        for x in dd.crossings:
+            assert abs(x.E - by_label[x.line_label]) <= 1e-13 * abs(by_label[x.line_label])
 
 
 class TestOrderingLaw:

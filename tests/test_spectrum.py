@@ -13,7 +13,10 @@ from teff import (
     NoClassicalRegion,
     PowerLaw,
     QuantumLevel,
+    TeffError,
     analyze_slice,
+    chi_profile,
+    diagram_data,
     enumerate_bound_states,
     exact_reference_spectrum,
     parse_potential,
@@ -116,6 +119,51 @@ _SCREENED = st.builds(lambda kind, Z: parse_potential(f"screened:kind={kind},Z={
 _QUARK = st.builds(lambda a, delta, B: parse_potential(
                        f"quark:alpha={a:.6g},delta={delta:.6g},B={B:.6g}"),
                    st.floats(0.1, 0.9), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
+
+# (spec, cap) pairs whose enumeration with l <= 1 holds a few levels
+_SPEC_CAPS = st.one_of(
+    st.builds(lambda kind, Z, c: (f"screened:kind={kind},Z={Z:.6g}", -c * Z * Z),
+              st.sampled_from(["exp", "inv2", "inv25"]), st.floats(5.0, 40.0),
+              st.floats(0.001, 0.03)),
+    st.builds(lambda a, B, c: (f"quark:alpha={a:.6g},delta=1,B={B:.6g}", c * B),
+              st.floats(0.2, 0.8), st.floats(1.0, 5.0), st.floats(0.5, 2.5)),
+    st.builds(lambda mu, c: (f"power:b=1,mu={mu:.6g}", c * math.exp(mu)),
+              st.floats(0.5, 3.0), st.floats(1.5, 4.0)))
+
+
+def _outcome(fn, *args, **kwargs):
+    """What fn returns, or the type and message of the TeffError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except TeffError as exc:
+        return type(exc), str(exc)
+
+
+class TestHistoryIndependence:
+    """What a potential already holds changes no level and no profile."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(spec_cap=_SPEC_CAPS, n_r=st.integers(0, 1), l=st.integers(0, 2),
+           k=st.integers(0, 30), mode=st.sampled_from(["linear", "nonlinear"]))
+    @example(spec_cap=("screened:kind=exp,Z=50", -0.05), n_r=1, l=1, k=17, mode="linear")
+    @example(spec_cap=("quark:alpha=0.5,delta=1,B=3", 8.0), n_r=0, l=2, k=12, mode="nonlinear")
+    def test_charted_potential_gives_fresh_values(self, spec_cap, n_r, l, k, mode):
+        spec, cap = spec_cap
+        used = parse_potential(spec)
+        grid = used.default_energy_grid()
+        E = grid[k % len(grid)]
+        levels = [QuantumLevel(a, b, 3) for a in range(3) for b in range(3)]
+        diagram_data(levels, (0.1, 2.2), [(used, grid)])
+        _outcome(chi_profile, used, 0.5 * (grid[0] + grid[1]))
+        assert len(used.held_energies()) > len(grid)
+
+        lvl = QuantumLevel(n_r, l, 3)
+        fresh = lambda: parse_potential(spec)
+        assert (_outcome(quantize_energy, used, lvl, mode=mode)
+                == _outcome(quantize_energy, fresh(), lvl, mode=mode))
+        assert (_outcome(enumerate_bound_states, used, cap, 3, 1)
+                == _outcome(enumerate_bound_states, fresh(), cap, 3, 1))
+        assert _outcome(chi_profile, used, E) == _outcome(chi_profile, fresh(), E)
 
 
 class TestNonlinearMode:
@@ -245,10 +293,11 @@ class TestSharedSlices:
     @pytest.mark.parametrize("spec,emax", [("screened:kind=exp,Z=50", -0.05),
                                            ("quark:alpha=0.5,delta=1,B=3", 8.0)])
     def test_enumeration_equals_single_levels(self, spec, emax):
-        p = parse_potential(spec)
-        states = enumerate_bound_states(p, emax, 3, 1)
+        # each single level solved on a potential of its own
+        states = enumerate_bound_states(parse_potential(spec), emax, 3, 1)
         assert len(states) >= 4
-        assert states == [quantize_energy(p, QuantumLevel(s.n_r, s.l, 3)) for s in states]
+        assert states == [quantize_energy(parse_potential(spec), QuantumLevel(s.n_r, s.l, 3))
+                          for s in states]
 
     def test_no_energy_analysed_twice(self, slice_counts):
         enumerate_bound_states(parse_potential("screened:kind=exp,Z=10"), -0.05, 3, 1)
