@@ -69,6 +69,7 @@ _FORMAT_OPT = click.option("--format", "fmt", type=click.Choice(["csv", "json"])
                            default="csv", show_default=True, help="Output format.")
 _OUTPUT_OPT = click.option("--output", "-o", type=click.Path(dir_okay=False),
                            default=None, help="Output path (default: stdout).")
+_DIM_OPT = click.option("--d", "dim", type=click.IntRange(min=2), default=3, show_default=True)
 
 
 @click.group()
@@ -136,7 +137,7 @@ def cmd_chi_table(specs, energy, suite, fmt, output):
 
 @cli.command("order")
 @click.option("--phi", type=float, required=True, help="Slope weighting the orbital index.")
-@click.option("--d", "dim", type=int, default=3, show_default=True)
+@_DIM_OPT
 @click.option("--count", type=int, required=True,
               help=f"Number of shells to list, at most {MAX_SHELLS}.")
 @click.option("--spin", type=click.Choice(["1", "2"]), default="1", show_default=True)
@@ -169,28 +170,26 @@ def _parse_levels(text, dim):
 @click.option("--enumerate", "do_enum", is_flag=True,
               help="Enumerate all levels up to --emax instead of --levels.")
 @click.option("--emax", type=float, default=None, help="Energy cap for --enumerate.")
-@click.option("--lmax", type=int, default=3, show_default=True)
-@click.option("--d", "dim", type=int, default=3, show_default=True)
-@click.option("--mode", type=click.Choice(["linear", "nonlinear"]), default="linear",
-              show_default=True)
+@click.option("--lmax", type=click.IntRange(min=0), default=3, show_default=True)
+@_DIM_OPT
 @_FORMAT_OPT
 @_OUTPUT_OPT
-def cmd_spectrum(spec, levels, do_enum, emax, lmax, dim, mode, fmt, output):
+def cmd_spectrum(spec, levels, do_enum, emax, lmax, dim, fmt, output):
     """Approximate bound-state energies from the quantization condition."""
     p = parse_potential(spec)
     if do_enum:
         if emax is None:
             raise click.UsageError("--enumerate requires --emax")
-        entries = enumerate_bound_states(p, emax, dim, lmax, mode=mode)
+        entries = enumerate_bound_states(p, emax, dim, lmax)
     else:
         if not levels:
             raise click.UsageError("provide --levels or --enumerate")
-        entries = [quantize_energy(p, lvl, mode=mode)
-                   for lvl in _parse_levels(levels, dim)]
+        entries = [quantize_energy(p, lvl) for lvl in _parse_levels(levels, dim)]
     columns = ("n_r", "l", "d", "T", "E", "mode", "phi", "iterations", "residual")
-    rows = [{"n_r": e.n_r, "l": e.l, "d": e.d, "T": e.T, "E": e.E, "mode": e.mode,
-             "phi": e.phi if e.phi is not None else "", "iterations": e.iterations,
-             "residual": e.residual} for e in entries]
+    # schema 1 keeps the mode column; the linear T is the only quantization
+    rows = [{"n_r": e.n_r, "l": e.l, "d": e.d, "T": e.T, "E": e.E, "mode": "linear",
+             "phi": e.phi, "iterations": e.iterations, "residual": e.residual}
+            for e in entries]
     _emit(rows, columns, fmt, output, "spectrum")
 
 
@@ -199,15 +198,18 @@ def cmd_spectrum(spec, levels, do_enum, emax, lmax, dim, mode, fmt, output):
               help="Potential spec (repeatable, one curve each).")
 @click.option("--phi-min", type=float, default=0.1, show_default=True)
 @click.option("--phi-max", type=float, default=2.2, show_default=True)
-@click.option("--nr-max", type=int, default=5, show_default=True)
-@click.option("--l-max", type=int, default=3, show_default=True)
+@click.option("--nr-max", type=click.IntRange(min=0), default=5, show_default=True)
+@click.option("--l-max", type=click.IntRange(min=0), default=3, show_default=True)
 @click.option("--e-grid", "e_grids", multiple=True,
               help="lo:hi:n energy grid per potential (matched by order).")
-@click.option("--d", "dim", type=int, default=3, show_default=True)
+@_DIM_OPT
 @_FORMAT_OPT
 @_OUTPUT_OPT
 def cmd_diagram(specs, phi_min, phi_max, nr_max, l_max, e_grids, dim, fmt, output):
     """Level lines T(phi), per-potential curves and their crossings."""
+    if len(e_grids) > len(specs):
+        raise click.UsageError(f"{len(e_grids)} --e-grid values for {len(specs)} --potential; "
+                               "give at most one grid per potential")
     levels = [QuantumLevel(n_r, l, dim)
               for n_r in range(nr_max + 1) for l in range(l_max + 1)]
     curve_specs = []
@@ -259,7 +261,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     except click.ClickException as exc:
-        exc.show()
+        click.echo(f"configuration error: {exc.format_message()}", err=True)
         return 2
     except click.exceptions.Abort:
         return 2

@@ -83,12 +83,6 @@ def teff_nonlinear(level, chi1, chi_inf, A):
         raise LambdaTooSmall("non-linear form needs lambda > 0")
     if lam / A < 0.05:
         raise LambdaTooSmall(f"lambda/A = {lam / A:.3g} < 0.05")
-    return _mellin_t(level, chi1, chi_inf, A)
-
-
-def _mellin_t(level, chi1, chi_inf, A):
-    """The formula of ``teff_nonlinear`` without its validity guards."""
-    lam = level.lam
     return level.nu + chi1 * lam + (chi1 - chi_inf) * lam * math.log(lam / A)
 
 

@@ -9,7 +9,8 @@ with N_1 and phi taken from the same slice at every probe; below a
 threshold that root is bracketed on a ladder of energies that every level
 of the well shares.  For pure power laws and the hard wall phi is
 E-independent, and at lambda = 0 it drops out, so there T is a constant.
-The non-linear mode solves the Mellin form of T as the same kind of root.
+This linear T is the one quantization path; the paper's non-linear
+(Mellin) form stays a formula, ``ordering.teff_nonlinear``.
 
 Every probe takes its slice from the potential (``p.slice_at``), which
 keeps it, about 1 KB a slice, for as long as p lives: the levels of one
@@ -28,11 +29,11 @@ from scipy.optimize import brentq
 
 import numpy as np
 
-from .errors import LambdaTooSmall, NoBoundState, NoConvergence
-from .ordering import QuantumLevel, _mellin_t, teff_nonlinear
+from .errors import NoBoundState, NoConvergence
+from .ordering import QuantumLevel
 from .potentials import PowerLaw
 from .quadrature import action_I
-from .transforms import chi_d, chi_infinity, phi_additive
+from .transforms import phi_additive
 
 __all__ = [
     "SpectrumEntry",
@@ -52,8 +53,7 @@ class SpectrumEntry:
     d: int
     T: float
     E: float
-    mode: str
-    phi: float | None
+    phi: float
     iterations: int
     residual: float
 
@@ -138,22 +138,12 @@ def _solve_inner(n1, target, p, varies, e_max=math.inf):
     return brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200)
 
 
-def _level_terms(p, level, mode):
+def _level_terms(p, level):
     """(target, phi, varies) of one level: T(E) as the quantization
-    condition N_1(E) = T(E) reads it, the slope phi(E) (None in non-linear
-    mode), and whether T depends on E.  The solve and an enumeration's cap
-    test both take T from here."""
+    condition N_1(E) = T(E) reads it, the slope phi(E), and whether T
+    depends on E.  The solve and an enumeration's cap test both take T
+    from here."""
     nu, lam = level.nu, level.lam
-    if mode == "nonlinear":
-        if lam == 0.0:
-            raise LambdaTooSmall("non-linear form needs lambda > 0")
-
-        def target(E):
-            s = p.slice_at(E)
-            return _mellin_t(level, chi_d(s, 1.0), chi_infinity(s), s.A)
-
-        return target, None, True
-
     phi_at = lambda E: phi_additive(p.slice_at(E), level.d)
     if lam == 0.0:
         return (lambda E: nu), phi_at, False
@@ -164,10 +154,10 @@ def _level_terms(p, level, mode):
     return (lambda E: nu + phi_at(E) * lam), phi_at, True
 
 
-def quantize_energy(p, level, mode="linear", _e_max=math.inf):
+def quantize_energy(p, level, *, _e_max=math.inf):
     """Invert the quantization condition for one level.
 
-    ``mode="linear"`` solves N_1(E) = nu + phi(E) lambda as one bracketed
+    Solves N_1(E) = nu + phi(E) lambda, the linear T, as one bracketed
     root of F(E) = N_1(E) - nu - phi(E) lambda, phi taken on the slice N_1
     analyses at each probe.  T is a constant where phi drops out (lambda =
     0) or is exact at the reference energy (``p.scale_free``).  Near a
@@ -179,34 +169,22 @@ def quantize_energy(p, level, mode="linear", _e_max=math.inf):
     wells sampled with l <= 4).  A constant T keeps the bracket from that
     deepest probe to the ceiling.
 
-    ``"nonlinear"`` solves N_1(E) = T(E) the same way, with T the Mellin
-    form built from (chi_1, chi_inf, A) on the slice of each probe.  Its
-    validity bound lambda/A >= 0.05 is checked at the root only: the
-    shallow probes have A -> inf.
-
     Slices come from ``p.slice_at`` and stay on p.  An enumeration passes
     its cap ``_e_max``; the result is then None, and no root is solved,
     when F(_e_max) < 0.
     """
-    if mode not in ("linear", "nonlinear"):
-        raise ValueError(f"unknown mode {mode!r}")
     n1 = lambda E: action_I(p.slice_at(E), 0.0)
-    target, phi_at, varies = _level_terms(p, level, mode)
+    target, phi_at, varies = _level_terms(p, level)
     E = _solve_inner(n1, target, p, varies, _e_max)
     if E is None:
         return None
-
-    if phi_at is None:
-        s = p.slice_at(E)
-        T, phi = teff_nonlinear(level, chi_d(s, 1.0), chi_infinity(s), s.A), None
-    else:
-        phi = phi_at(E)
-        T = level.nu + phi * level.lam
+    phi = phi_at(E)
+    T = level.nu + phi * level.lam
     return SpectrumEntry(n_r=level.n_r, l=level.l, d=level.d, T=T, E=E,
-                         mode=mode, phi=phi, iterations=1, residual=abs(n1(E) - T))
+                         phi=phi, iterations=1, residual=abs(n1(E) - T))
 
 
-def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
+def enumerate_bound_states(p, e_max, d, l_max):
     """All levels with E <= e_max for l = 0..l_max, sorted by energy.
 
     For each l the radial index is incremented until the well runs out of
@@ -237,7 +215,7 @@ def enumerate_bound_states(p, e_max, d, l_max, mode="linear"):
             try:
                 # the cap is tested once a level lies below it, which keeps
                 # a cap far below the spectrum off the slice analysis
-                entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode=mode,
+                entry = quantize_energy(p, QuantumLevel(n_r, l, d),
                                         _e_max=e_max if found else math.inf)
             except NoBoundState:
                 break

@@ -234,6 +234,7 @@ class TestSpectrum:
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         header, *rows = csv.reader(io.StringIO("\n".join(lines[1:])))
+        assert header == ["n_r", "l", "d", "T", "E", "mode", "phi", "iterations", "residual"]
         at = header.index("iterations")
         assert all(row[at] == "1" for row in rows)
         assert [row[:at] + row[at + 1:] for row in rows] == [
@@ -285,6 +286,40 @@ class TestDiagram:
         assert "line" in kinds and "curve" in kinds
 
 
+# (command line, what its one configuration-error line names)
+_BAD_ARGUMENTS = [
+    (["order", "--phi", "-1", "--count", "3"], "phi"),
+    (["order", "--phi", "1", "--count", "0"], "count"),
+    (["order", "--phi", "1.75", "--count", str(MAX_SHELLS + 1)], "count"),
+    (["order", "--phi", "inf", "--count", "3"], "phi"),
+    (["diagram", "--potential", "power:b=1,mu=2", "--phi-max", "3"], "phi range"),
+    (["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "nan",
+      "--lmax", "0"], "NaN"),
+    (["chi-table", "--potential", "power:b=1,mu=2", "--energy", "nan"], "NaN"),
+    (["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "inf",
+      "--lmax", "0"], "finite"),
+    (["spectrum", "--potential", "power:b=-1,mu=-1", "--enumerate", "--emax", "0",
+      "--lmax", "0"], "accumulate"),
+    # family energy scales that divide by zero or overflow
+    (["spectrum", "--potential", "wall:R=1e-300", "--levels", "0:0"], "energy scale"),
+    (["spectrum", "--potential", "wall:R=1e300", "--levels", "0:0"], "energy scale"),
+    (["spectrum", "--potential", "screened:kind=exp,Z=1e300", "--levels", "0:0"],
+     "energy scale"),
+    (["diagram", "--potential", "wall:R=1e-300"], "energy scale"),
+    # a dimension below 2 or a negative index bound is the option's fault
+    (["spectrum", "--potential", "power:b=1,mu=1", "--levels", "0:0", "--d", "1"], "'--d'"),
+    (["order", "--phi", "1", "--count", "3", "--d", "1"], "'--d'"),
+    (["diagram", "--potential", "power:b=1,mu=1", "--d", "1"], "'--d'"),
+    (["spectrum", "--potential", "power:b=1,mu=1", "--enumerate", "--emax", "5",
+      "--lmax", "-2"], "'--lmax'"),
+    (["diagram", "--potential", "power:b=1,mu=1", "--nr-max", "-1"], "'--nr-max'"),
+    (["diagram", "--potential", "power:b=1,mu=1", "--l-max", "-1"], "'--l-max'"),
+    # a grid with no potential to draw on
+    (["diagram", "--potential", "power:b=1,mu=1", "--e-grid", "1:5:3", "--e-grid", "1:9:4"],
+     "--e-grid"),
+]
+
+
 class TestExitCodes:
     def test_config_error_is_2(self):
         assert main(["chi-table", "--potential", "power:b=1,mu=-3"]) == 2
@@ -294,6 +329,8 @@ class TestExitCodes:
         # the quadrature accuracy is fixed: no option sets it
         ["spectrum", "--potential", "power:b=1,mu=1", "--levels", "0:0", "--rel-tol", "1e-6"],
         ["chi-table", "--suite", "table1", "--tail-cut", "1e-10"],
+        # the linear T is the only quantization: no option picks another
+        ["spectrum", "--potential", "power:b=1,mu=1", "--levels", "0:0", "--mode", "nonlinear"],
     ])
     def test_unknown_flag_is_2(self, args, capsys):
         assert main(args) == 2
@@ -305,29 +342,12 @@ class TestExitCodes:
     def test_verify_suite_exit(self):
         assert main(["verify", "--suite", "signs", "--no-detail"]) == 0
 
-    @pytest.mark.parametrize("args", [
-        ["order", "--phi", "-1", "--count", "3"],
-        ["order", "--phi", "1", "--count", "0"],
-        ["order", "--phi", "1.75", "--count", str(MAX_SHELLS + 1)],
-        ["order", "--phi", "inf", "--count", "3"],
-        ["diagram", "--potential", "power:b=1,mu=2", "--phi-max", "3"],
-        ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "nan",
-         "--lmax", "0"],
-        ["chi-table", "--potential", "power:b=1,mu=2", "--energy", "nan"],
-        ["spectrum", "--potential", "power:b=1,mu=2", "--enumerate", "--emax", "inf",
-         "--lmax", "0"],
-        ["spectrum", "--potential", "power:b=-1,mu=-1", "--enumerate", "--emax", "0",
-         "--lmax", "0"],
-        # family energy scales that divide by zero or overflow
-        ["spectrum", "--potential", "wall:R=1e-300", "--levels", "0:0"],
-        ["spectrum", "--potential", "wall:R=1e300", "--levels", "0:0"],
-        ["spectrum", "--potential", "screened:kind=exp,Z=1e300", "--levels", "0:0"],
-        ["diagram", "--potential", "wall:R=1e-300"],
-    ])
-    def test_bad_argument_is_2(self, args, run_cli):
+    @pytest.mark.parametrize("args,named", _BAD_ARGUMENTS,
+                             ids=[f"args{i}" for i in range(len(_BAD_ARGUMENTS))])
+    def test_bad_argument_is_2(self, args, named, run_cli):
         proc = run_cli(*args)
         assert proc.returncode == 2
-        assert "configuration error" in proc.stderr
+        assert "configuration error" in proc.stderr and named in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_quark_overflow_spectrum_is_3(self, run_cli):

@@ -8,7 +8,6 @@ from scipy.special import ai_zeros
 
 from teff import spectrum
 from teff import (
-    LambdaTooSmall,
     NoBoundState,
     NoClassicalRegion,
     PowerLaw,
@@ -23,10 +22,9 @@ from teff import (
     power_law_scaling_check,
     quantize_energy,
     solve_bound_state,
-    teff_nonlinear,
 )
 from teff.quadrature import action_I
-from teff.transforms import chi_d, chi_infinity, phi_additive
+from teff.transforms import phi_additive
 
 
 class TestReferenceExactness:
@@ -144,10 +142,10 @@ class TestHistoryIndependence:
 
     @settings(max_examples=10, deadline=None)
     @given(spec_cap=_SPEC_CAPS, n_r=st.integers(0, 1), l=st.integers(0, 2),
-           k=st.integers(0, 30), mode=st.sampled_from(["linear", "nonlinear"]))
-    @example(spec_cap=("screened:kind=exp,Z=50", -0.05), n_r=1, l=1, k=17, mode="linear")
-    @example(spec_cap=("quark:alpha=0.5,delta=1,B=3", 8.0), n_r=0, l=2, k=12, mode="nonlinear")
-    def test_charted_potential_gives_fresh_values(self, spec_cap, n_r, l, k, mode):
+           k=st.integers(0, 30))
+    @example(spec_cap=("screened:kind=exp,Z=50", -0.05), n_r=1, l=1, k=17)
+    @example(spec_cap=("quark:alpha=0.5,delta=1,B=3", 8.0), n_r=0, l=2, k=12)
+    def test_charted_potential_gives_fresh_values(self, spec_cap, n_r, l, k):
         spec, cap = spec_cap
         used = parse_potential(spec)
         grid = used.default_energy_grid()
@@ -159,79 +157,10 @@ class TestHistoryIndependence:
 
         lvl = QuantumLevel(n_r, l, 3)
         fresh = lambda: parse_potential(spec)
-        assert (_outcome(quantize_energy, used, lvl, mode=mode)
-                == _outcome(quantize_energy, fresh(), lvl, mode=mode))
+        assert _outcome(quantize_energy, used, lvl) == _outcome(quantize_energy, fresh(), lvl)
         assert (_outcome(enumerate_bound_states, used, cap, 3, 1)
                 == _outcome(enumerate_bound_states, fresh(), cap, 3, 1))
         assert _outcome(chi_profile, used, E) == _outcome(chi_profile, fresh(), E)
-
-
-class TestNonlinearMode:
-    def test_runs_and_is_close_to_linear(self):
-        p = PowerLaw(b=1.0, mu=1.0)
-        lin = quantize_energy(p, QuantumLevel(0, 2, 3), mode="linear")
-        non = quantize_energy(p, QuantumLevel(0, 2, 3), mode="nonlinear")
-        assert non.mode == "nonlinear"
-        assert non.residual < 1e-8 * max(1.0, non.T)
-        assert non.E == pytest.approx(lin.E, rel=0.02)
-
-    def test_coulomb_nonlinear_still_exact(self, coulomb):
-        lvl = QuantumLevel(1, 1, 3)
-        non = quantize_energy(coulomb, lvl, mode="nonlinear")
-        assert non.E == pytest.approx(exact_reference_spectrum("coulomb", 1.0, lvl),
-                                      rel=1e-6)
-
-    def test_bad_mode(self, coulomb):
-        with pytest.raises(ValueError):
-            quantize_energy(coulomb, QuantumLevel(0, 0, 3), mode="other")
-
-    @pytest.mark.parametrize("spec,n_r,l,d,E", [
-        # a damped fixed point on T did not settle on these three levels
-        ("screened:kind=inv2,Z=45.2", 2, 0, 3, -48.8385),
-        ("screened:kind=tf,Z=60", 1, 0, 4, -86.7395),
-        ("screened:kind=exp,Z=50", 2, 3, 3, -1.25657),
-    ])
-    def test_one_root_solves_hard_levels(self, spec, n_r, l, d, E):
-        p = parse_potential(spec)
-        entry = quantize_energy(p, QuantumLevel(n_r, l, d), mode="nonlinear")
-        assert entry.E == pytest.approx(E, rel=1e-5)
-        _assert_self_consistent(p, entry)
-
-    @settings(max_examples=12, deadline=None)
-    @given(p=st.one_of(_SCREENED, _QUARK), d=st.integers(2, 4), n_r=st.integers(0, 3),
-           l=st.integers(0, 4))
-    def test_t_is_self_consistent(self, p, d, n_r, l):
-        lvl = QuantumLevel(n_r, l, d)
-        try:
-            entry = quantize_energy(p, lvl, mode="nonlinear")
-        except (NoBoundState, LambdaTooSmall):
-            return
-        _assert_self_consistent(p, entry)
-
-    def test_lambda_zero_is_rejected_before_solving(self, monkeypatch):
-        def solve(*args, **kwargs):
-            raise AssertionError("a root was solved")
-
-        monkeypatch.setattr(spectrum, "_solve_inner", solve)
-        with pytest.raises(LambdaTooSmall, match="^non-linear form needs lambda > 0$"):
-            quantize_energy(parse_potential("screened:kind=exp,Z=10"), QuantumLevel(0, 0, 2),
-                            mode="nonlinear")
-
-    def test_enumeration(self):
-        states = enumerate_bound_states(parse_potential("screened:kind=exp,Z=50"), -0.05, 3, 2,
-                                        mode="nonlinear")
-        assert len(states) >= 10
-        assert [s.E for s in states] == sorted(s.E for s in states)
-        assert all(s.residual <= 1e-9 * max(1.0, s.T) for s in states)
-
-
-def _assert_self_consistent(p, entry):
-    """One root of N_1(E) = T(E), with T the guarded Mellin form at that root."""
-    s = analyze_slice(p, entry.E)
-    lvl = QuantumLevel(entry.n_r, entry.l, entry.d)
-    assert entry.T == teff_nonlinear(lvl, chi_d(s, 1.0), chi_infinity(s), s.A)
-    assert entry.residual <= 1e-9 * max(1.0, entry.T)
-    assert entry.iterations == 1
 
 
 class TestScalingCheck:
@@ -272,14 +201,6 @@ class TestLowDimensionalChannels:
         assert entry.iterations == 1
         assert entry.T == 0.5
         assert entry.E < -100.0  # near the 2d Coulomb-like ground -2 Z^2
-
-    def test_screened_nonlinear_mode(self):
-        p = parse_potential("screened:kind=exp,Z=50")
-        lvl = QuantumLevel(1, 1, 3)
-        lin = quantize_energy(p, lvl, mode="linear")
-        non = quantize_energy(p, lvl, mode="nonlinear")
-        assert non.residual < 1e-8 * max(1.0, non.T)
-        assert non.E == pytest.approx(lin.E, rel=0.05)
 
     def test_d2_enumeration(self):
         p = parse_potential("screened:kind=exp,Z=10")
@@ -420,7 +341,7 @@ _SAME_LEVEL = [
 ]
 
 class TestOneRootPerLevel:
-    """Linear mode solves N_1(E) = nu + phi(E) lambda as one bracketed root."""
+    """Each level solves N_1(E) = nu + phi(E) lambda as one bracketed root."""
 
     @pytest.mark.parametrize("spec,n_r,l,d,E", _SAME_BITS)
     def test_constant_t_levels_keep_their_bits(self, spec, n_r, l, d, E):
