@@ -11,10 +11,10 @@ uniform rho grid, symmetrised with diag(2 r^2)^(-1/2), give a symmetric
 tridiagonal matrix.  A Sturm-sequence count (Barth, Martin & Wilkinson,
 Numer. Math. 9, 1967; LAPACK ``dstebz``) picks its n_r-th eigenvalue
 directly: that eigenvector has exactly n_r sign changes, so the Sturm
-index is the node count.  One Romberg step on the grids 4h, 2h and h,
-(64 E_h - 20 E_(2h) + E_(4h)) / 45, removes the h^2 and h^4 errors.  None
-of this shares code with the quadrature pipeline; independence is the
-point.
+index is the node count.  Romberg steps on the grids 8h, 4h, 2h and h,
+(4096 E_h - 1344 E_(2h) + 84 E_(4h) - E_(8h)) / 2835, remove the h^2, h^4
+and h^6 errors.  None of this shares code with the quadrature pipeline;
+independence is the point.
 
 The deep-left diagonal ~ 1/(h^2 r^2) stretches the Gershgorin interval of
 the matrix to 1e12-1e65, so bisecting it for an eigenvalue index costs
@@ -29,23 +29,31 @@ window:
   seed grid's;
 - the bracket takes that seed, and one Sturm count N(e_hi) on the grid h
   (two sweeps) decides whether the level lies below the window top e_hi;
-- on the grid 4h, the count N(vl) at vl = seed - delta certifies that the
-  n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta];
-  bisection on that window alone takes about 40 sweeps;
-- on the grids 2h and h each window is centred on the h^2 prediction from
-  the grid before it: an error c h^2 puts the seed 64 c h^2 above the
-  level, E_(4h) 16 c h^2, E_(2h) 4 c h^2 and E_h c h^2, so a window a few
-  percent of c h^2 wide holds the level.  The three grids have 1.75 times
-  the nodes of the grid h.
+  a confining well whose seed lies in the upper half of the window
+  raises the top and seeds again from that seed, with no second index
+  search;
+- on the grid 8h, the count N(vl) at vl = seed - delta certifies that the
+  n_r-th eigenvalue is the (n_r - N(vl))-th one in (vl, seed + delta],
+  and bisection runs on that window alone; the seed grid is the grid 8h
+  before the cut below, so a window a few times the seed's tolerance
+  holds the level;
+- the grid 4h's window is centred on E_(8h), and the grid 2h's on the h^2
+  prediction from the two before it: an error c h^2 puts E_(8h) 64 c h^2
+  above the level, E_(4h) 16 c h^2, E_(2h) 4 c h^2 and E_h c h^2, so a
+  window a few percent of c h^2 wide holds the level;
+- the grid h's window is centred on the limit of the three grids before,
+  exact to O(h^6), plus a quarter of E_(2h)'s error.  The four grids have
+  1.875 times the nodes of the grid h, and half as many as three grids at
+  half the step.
 
 A window that misses the level is widened, and a count below the
 Gershgorin floor is 0.
 
-The step of the grid h is exactly ``_STEP`` = 2^-9, and its number of
-intervals is a multiple of 4, so the grids 2h and 4h keep its end nodes.
-The left edge sits on a multiple of the step, so every node is an exact
-binary fraction, and the right edge absorbs the rest of the span; at a
-hard wall psi = 0 on the wall, and the left edge absorbs it instead.  At
+The step of the grid h is exactly ``_STEP`` = 2^-8, and its number of
+intervals is a multiple of 8, so the grids 2h, 4h and 8h keep its end
+nodes.  The left edge sits on a multiple of the step, so every node is an
+exact binary fraction, and the right edge absorbs the rest of the span;
+at a hard wall psi = 0 on the wall, and the left edge absorbs it instead.  At
 lambda = 0 the level keeps its weight on the deep-left rows, where a step
 that is not a binary fraction moves it by up to 2e-8 as the grid's length
 changes (Coulomb, d = 2).  Each edge sits where psi has decayed by
@@ -74,7 +82,7 @@ __all__ = [
     "solve_bound_state",
 ]
 
-_STEP = 1.0 / 512.0      # rho spacing of the grid h, exactly; 2h and 4h multiply it
+_STEP = 1.0 / 256.0      # rho spacing of the grid h, exactly; 2h, 4h and 8h multiply it
 # e-folds of decay between the level and a grid edge.  Cutting psi off where
 # it has decayed by e^(-M) moves the eigenvalue by about e^(-2M) of itself,
 # the share of the norm lost past the edge; e^(-2M) <= 2^-53, the unit
@@ -83,10 +91,10 @@ _DECAY_MARGIN = 26.5 * math.log(2.0)
 # deepest left edge: off-diagonal entries ~ 1/(h^2 r^2) must stay far below
 # sqrt(float max), which LAPACK squares, and so must its pivot floor
 _RHO_FLOOR = -150.0
-_SEED_COARSENING = 8     # the seed grid has this many times fewer intervals
+_SEED_COARSENING = 8     # the seed grid has this many times fewer intervals: the grid 8h
 _SEED_TOL = 1e-9         # relative: a seed needs only to land well inside its window
-_WINDOW = 1e-3           # first window half-width, relative to the seed
-_PREDICTED_WINDOW = 0.05  # 2h and h window half-width, relative to the h^2 error c h^2
+_WINDOW = 4e-3           # 4h window half-width, relative to E_8h; the seed's is 64 times wider
+_PREDICTED_WINDOW = 0.05  # 2h window half-width, relative to the h^2 error c h^2
 _MAX_WIDENINGS = 30      # each one 8 times wider: far past any seed's error
 
 
@@ -113,8 +121,8 @@ def _inner_turning_point(p, E, q, rho_m):
 
 def _intervals(span):
     """Intervals of step ``_STEP`` that cover ``span``: at least 64, and a
-    multiple of 4, so that the grids 2h and 4h keep the end nodes."""
-    return max(4 * math.ceil(span / (4 * _STEP)), 64)
+    multiple of 8, so that the grids 2h, 4h and 8h keep the end nodes."""
+    return max(8 * math.ceil(span / (8 * _STEP)), 64)
 
 
 def _grid(p, level, e_lo, e_hi):
@@ -228,21 +236,24 @@ def _count(d, off, floor, v):
     return len(_window(d, off, floor, v, 2.0 * (v - floor))) if v > floor else 0
 
 
-def _seed(p, level, grid):
+def _seed(p, level, grid, near=None):
     """n_r-th eigenvalue on ``grid`` with 8 times fewer intervals, to
     ``_SEED_TOL`` of itself.  The one index search over the whole
     Gershgorin interval runs on the grid 64 times coarser, whose h^2 error
     is 64 times the seed grid's, and a window that much wider around its
-    value finds the seed."""
+    value finds the seed.  ``near``, the seed of the same level on an
+    earlier grid, replaces the index search: the window is centred on it,
+    and the count at its lower end certifies the index."""
     rho_lo, rho_hi, intervals = grid
     k = _SEED_COARSENING
-    d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // (k * k), 64))
-    rough = float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
-                                   select_range=(level.n_r, level.n_r), lapack_driver="stebz",
-                                   tol=_SEED_TOL * p.energy_scale())[0])
-    tol = _SEED_TOL * (abs(rough) or p.energy_scale())
-    return _windowed_eigenvalue(p, level, (rho_lo, rho_hi, max(intervals // k, 64)), rough,
-                                k * k * _WINDOW * abs(rough) + tol, tol)
+    if near is None:
+        d, off = _matrix(p, level, rho_lo, rho_hi, max(intervals // (k * k), 64))
+        near = float(eigh_tridiagonal(d, off, eigvals_only=True, select="i",
+                                      select_range=(level.n_r, level.n_r), lapack_driver="stebz",
+                                      tol=_SEED_TOL * p.energy_scale())[0])
+    tol = _SEED_TOL * (abs(near) or p.energy_scale())
+    return _windowed_eigenvalue(p, level, (rho_lo, rho_hi, max(intervals // k, 64)), near,
+                                k * k * _WINDOW * abs(near) + tol, tol)
 
 
 def _windowed_eigenvalue(p, level, grid, centre, delta, tol, matrix=None):
@@ -264,10 +275,12 @@ def _windowed_eigenvalue(p, level, grid, centre, delta, tol, matrix=None):
 
 
 def _refine(p, level, e_lo, e_hi, grid, seed, matrix=None):
-    """Romberg value of the level from the grids 4h, 2h and h, given the
-    window's grid, a seed from a grid 8 times coarser and, if the bracket
-    built it, the window grid's matrix: the 4h window is centred on the
-    seed, and each finer one on the h^2 prediction from the grid before."""
+    """Romberg value of the level from the grids 8h, 4h, 2h and h, given
+    the window's grid, a seed from its grid 8h and, if the bracket built
+    it, the window grid's matrix: the 8h window is centred on the seed,
+    the 4h window on E_(8h), the 2h window on the h^2 prediction from the
+    grids 8h and 4h, and the h window on the prediction from the three
+    grids before."""
     grid = _level_grid(p, level, grid, e_hi, seed)
     rho_lo, rho_hi, m = grid
     if matrix is not None:
@@ -276,17 +289,26 @@ def _refine(p, level, e_lo, e_hi, grid, seed, matrix=None):
     # the default tolerance scales with the norm of this strongly graded
     # matrix, which dwarfs the level; use an absolute one at the level's scale
     tol = 1e-14 * max(abs(e_lo), abs(e_hi))
-    e_4h = _windowed_eigenvalue(p, level, (rho_lo, rho_hi, m // 4), seed,
-                                _WINDOW * abs(seed) + tol, tol)
-    # an error c h^2 puts the seed 64 c h^2 above the level, e_4h 16 c h^2,
+
+    def level_on(k, centre, delta, matrix=None):
+        return _windowed_eigenvalue(p, level, (rho_lo, rho_hi, m // k), centre,
+                                    delta + tol, tol, matrix)
+
+    # the seed grid is the uncut grid 8h, bisected to _SEED_TOL
+    e_8h = level_on(8, seed, 4.0 * _SEED_TOL * abs(seed))
+    e_4h = level_on(4, e_8h, _WINDOW * abs(e_8h))
+    # an error c h^2 puts e_8h 64 c h^2 above the level, e_4h 16 c h^2,
     # e_2h 4 c h^2 and e_h c h^2
-    c_h2 = (seed - e_4h) / (_SEED_COARSENING**2 - 16)
-    e_2h = _windowed_eigenvalue(p, level, (rho_lo, rho_hi, m // 2), e_4h - 12.0 * c_h2,
-                                _PREDICTED_WINDOW * abs(c_h2) + tol, tol)
-    c_h2 = (e_4h - e_2h) / 12.0
-    e_h = _windowed_eigenvalue(p, level, grid, e_2h - 3.0 * c_h2,
-                               _PREDICTED_WINDOW * abs(c_h2) + tol, tol, matrix)
-    e = (64.0 * e_h - 20.0 * e_2h + e_4h) / 45.0
+    c_h2 = (e_8h - e_4h) / 48.0
+    e_2h = level_on(2, e_4h - 12.0 * c_h2, _PREDICTED_WINDOW * abs(c_h2))
+    # the limit of the three grids is exact to O(h^6); e_h lies a quarter
+    # of e_2h's error above it.  With an h^4 error d h^4 as well, the 2h
+    # prediction misses by 180 d h^4 and this one by 3 d h^4, so its
+    # window is 16 times narrower
+    limit = (64.0 * e_2h - 20.0 * e_4h + e_8h) / 45.0
+    c_h2 = (e_2h - limit) / 4.0
+    e_h = level_on(1, limit + c_h2, _PREDICTED_WINDOW / 16.0 * abs(c_h2), matrix)
+    e = (4096.0 * e_h - 1344.0 * e_2h + 84.0 * e_4h - e_8h) / 2835.0
     if not e_lo < e < e_hi:
         raise BracketMiss(
             f"level n_r = {level.n_r} lies at {e:.10g}, outside the bracket "
@@ -298,8 +320,9 @@ def numerov_eigenvalue(p, level, e_bracket):
     """Eigenvalue of the radial equation inside ``e_bracket``.
 
     The bracket sets the seed grid and must contain the requested level.
-    The n_r-th eigenvalue is found on grids with steps 4h, 2h and h and
-    combined by one Romberg step, (64 E_h - 20 E_(2h) + E_(4h)) / 45.
+    The n_r-th eigenvalue is found on grids with steps 8h, 4h, 2h and h
+    and combined by Romberg steps into
+    (4096 E_h - 1344 E_(2h) + 84 E_(4h) - E_(8h)) / 2835.
     """
     e_lo, e_hi = float(e_bracket[0]), float(e_bracket[1])
     if not e_lo < e_hi:
@@ -315,14 +338,10 @@ def _bracket(p, level):
     threshold built it, else None."""
     _, ceiling = p.energy_window()
     matrix = None
-
-    def seed_at(e_hi):
-        grid = _grid(p, level, e_hi, e_hi)
-        return grid, _seed(p, level, grid)
-
     if ceiling is not None:
         e_hi = ceiling - 1e-9 * p.energy_scale()
-        grid, seed = seed_at(e_hi)
+        grid = _grid(p, level, e_hi, e_hi)
+        seed = _seed(p, level, grid)
         # the full grid decides: the seed of a level just under e_hi may
         # lie on either side of it
         matrix = d, off = _matrix(p, level, *grid)
@@ -336,8 +355,12 @@ def _bracket(p, level):
         e = min(seed, e_hi)
     else:
         e_hi = max(4.0 * p.reference_energy(), p.energy_scale())
+        seed = None
         for _ in range(80):
-            grid, seed = seed_at(e_hi)
+            # a raised top starts from the seed just found: no second
+            # index search
+            grid = _grid(p, level, e_hi, e_hi)
+            seed = _seed(p, level, grid, seed)
             if seed < 0.5 * e_hi:
                 break
             e_hi = 4.0 * seed

@@ -371,7 +371,8 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
 
     ``curve_specs`` is a sequence of (potential, energy grid) pairs; bad
     curve points are dropped with a note.  Crossings are located by sign
-    change of (curve - line) over the energy grid and refined by brentq
+    change of (curve - line) over the energy grid, a node where it is
+    exactly 0 being a crossing itself, and refined by brentq
     in E (to rtol 1e-10), on a bracket narrowed to the nearest energies
     whose slices the potential already holds (``p.held_energies()``):
     the grid, the searches of earlier crossings, and any solve run on the
@@ -408,20 +409,24 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
         curves.append(DiagramCurve(label=label, points=tuple(pts), notes=tuple(notes)))
 
         for lvl in levels:
-            gap = []
-            for phi, t_val, E in pts:
-                gap.append((E, t_val - teff(lvl, phi)))
-            for (e0, g0), (e1, g1) in zip(gap, gap[1:]):
-                if g0 == 0.0 or g0 * g1 >= 0.0:
+            line_label = spectroscopic_label(lvl.n_r, lvl.l, d)
+            gap = [t_val - teff(lvl, phi) for phi, t_val, _ in pts]
+            for i, (phi, t_val, e0) in enumerate(pts):
+                if gap[i] == 0.0:
+                    # the level sits on this node: a crossing of its own,
+                    # and neither interval beside it changes sign
+                    crossings.append(DiagramCrossing(line_label=line_label, curve_label=label,
+                                                     phi=phi, t_value=t_val, E=e0))
+                if i + 1 == len(pts) or gap[i] * gap[i + 1] >= 0.0:
                     continue
                 func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
                     _curve_point(p.slice_at(E), d))
-                (lo, g_lo), (hi, _) = sorted(((e0, g0), (e1, g1)))
+                (lo, g_lo), (hi, _) = sorted(((e0, gap[i]), (pts[i + 1][2], gap[i + 1])))
                 lo, hi = _held_bracket(func, lo, g_lo, hi, p.held_energies())
                 e_star = brentq(func, lo, hi, rtol=1e-10, maxiter=200)
                 phi_star, t_star = _curve_point(p.slice_at(e_star), d)
                 crossings.append(DiagramCrossing(
-                    line_label=spectroscopic_label(lvl.n_r, lvl.l, d),
+                    line_label=line_label,
                     curve_label=label, phi=phi_star, t_value=t_star, E=float(e_star)))
     return DiagramData(d=d, lines=lines, curves=tuple(curves), crossings=tuple(crossings))
 

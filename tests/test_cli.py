@@ -202,6 +202,16 @@ class TestGoldenOutput:
         assert len(result.stdout.splitlines()) == 353
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == _README_DIAGRAM_SHA256
 
+    def test_coulomb_diagram_keeps_node_crossings(self, runner):
+        # 1s and 2p lie on nodes of the default grid (E = -0.5 and -0.125),
+        # where the gap is exactly 0; each is one crossing
+        result = runner.invoke(cli, ["diagram", "--potential", "power:b=-1,mu=-1"])
+        assert result.exit_code == 0
+        crossings = [row for row in result.stdout.splitlines() if row.startswith("crossing,")]
+        assert len(crossings) == 21
+        labels = [row.split(",")[1].strip('"').split("|")[0] for row in crossings]
+        assert labels.count("1s") == labels.count("2p") == 1
+
     def test_readme_diagram_work(self, runner, slice_counts):
         # 235 energies with each crossing bracketed by the nearest energies
         # the curve already holds; 256 when every search spanned its whole

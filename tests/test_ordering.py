@@ -19,6 +19,7 @@ from teff import (
     leading_degeneracy,
     ordering_theorem_signs,
     parse_potential,
+    quantize_energy,
     regge_sign_check,
     shell_sequence,
     spectroscopic_label,
@@ -308,6 +309,27 @@ class TestDiagram:
     def test_bad_phi_range(self):
         with pytest.raises(ValueError):
             diagram_data([QuantumLevel(0, 0, 3)], (0.0, 2.0), [])
+
+    def test_level_on_a_node_is_one_crossing(self, monkeypatch):
+        # a gap that is exactly 0 at a grid node leaves neither interval
+        # beside it with a sign change; the node itself is the crossing,
+        # drawn once, at that node's curve point
+        yukawa, lvl = parse_potential("screened:kind=exp,Z=50"), QuantumLevel(1, 0, 3)
+        e_node = quantize_energy(yukawa, lvl).E
+        curve_point = ordering._curve_point
+
+        def on_the_line(s, d):
+            phi, t = curve_point(s, d)
+            return (phi, teff(lvl, phi)) if s.E == e_node else (phi, t)
+
+        monkeypatch.setattr(ordering, "_curve_point", on_the_line)
+        grid = sorted([-1200.0, -300.0, -95.0, -38.0, -15.0, -4.7, -1.0, e_node])
+        dd = diagram_data([lvl, QuantumLevel(0, 1, 3)], (0.2, 2.2), [(yukawa, grid)])
+        node = next(pt for pt in dd.curves[0].points if pt[2] == e_node)
+        assert node[1] == teff(lvl, node[0])
+        on_node = [x for x in dd.crossings if x.line_label == "2s"]
+        assert [(x.phi, x.t_value, x.E) for x in on_node] == [node]
+        assert [x.line_label for x in dd.crossings].count("2p") == 1
 
 
 # (spec, cap, l_max) of enumerations that a diagram is drawn after
