@@ -341,8 +341,12 @@ class DiagramData:
 
 
 def _curve_point(s, d):
-    """(phi, A chi_1) on the slice s."""
-    return phi_additive(s, d), chi_d(s, 1.0) * s.A
+    """(phi, A chi_1) on the slice s.  A scale-free well's phi does not
+    depend on E, so it comes from the reference slice, and s integrates
+    the d = 1 moment alone."""
+    p = s.p
+    at = p.slice_at(p.reference_energy()) if p.scale_free else s
+    return phi_additive(at, d), chi_d(s, 1.0) * s.A
 
 
 def _held_bracket(gap, lo, g_lo, hi, held):
@@ -369,21 +373,29 @@ def _held_bracket(gap, lo, g_lo, hi, held):
 def diagram_data(levels, phi_range, curve_specs, d=3):
     """Assemble the universal diagram.
 
-    ``curve_specs`` is a sequence of (potential, energy grid) pairs; bad
-    curve points are dropped with a note.  Crossings are located by sign
-    change of (curve - line) over the energy grid, a node where it is
-    exactly 0 being a crossing itself, and refined by brentq
-    in E (to rtol 1e-10), on a bracket narrowed to the nearest energies
-    whose slices the potential already holds (``p.held_energies()``):
-    the grid, the searches of earlier crossings, and any solve run on the
-    same object before.  After ``enumerate_bound_states`` on p, each
-    crossing of an enumerated level usually lies between two held
-    energies closer than brentq's tolerance, so it costs no new slice.
-    Every slice analysed here stays on p (about 1 KB each; a new
-    ``parse_potential`` starts empty).  The curve points are the same
-    bits whatever p holds; a crossing's last bits, inside rtol 1e-10,
-    depend on the slices already held.
+    ``levels`` are in dimension d.  ``curve_specs`` is a sequence of
+    (potential, energy grid) pairs; bad curve points are dropped with a
+    note.  A scale-free curve (power law, hard wall) has the constant phi
+    of its reference slice.  Crossings are located by sign change of
+    (curve - line) over the energy grid, a node where it is exactly 0
+    being a crossing itself.  On a well whose levels have a closed form
+    (``p.energy_exponent``: V = b r^mu with mu > 0, the wall) the
+    crossing so found is the level: its E, phi and T are those of
+    ``quantize_energy``, the same bits whatever p holds.  Elsewhere it is
+    refined by brentq in E (to rtol 1e-10), on a bracket narrowed to the
+    nearest energies whose slices the potential already holds
+    (``p.held_energies()``): the grid, the searches of earlier
+    crossings, and any solve run on the same object before.  After
+    ``enumerate_bound_states`` on p, each crossing of an enumerated level
+    usually lies between two held energies closer than brentq's
+    tolerance, so it costs no new slice.  Every slice analysed here stays
+    on p (about 1 KB each; a new ``parse_potential`` starts empty).  The
+    curve points are the same bits whatever p holds; a refined
+    crossing's last bits, inside rtol 1e-10, depend on the slices already
+    held.
     """
+    from .spectrum import quantize_energy  # spectrum imports this module
+
     phi_lo, phi_hi = phi_range
     if not (0.0 < phi_lo < phi_hi <= 2.5):
         raise ValueError("phi range must satisfy 0 < lo < hi <= 2.5")
@@ -412,22 +424,26 @@ def diagram_data(levels, phi_range, curve_specs, d=3):
             line_label = spectroscopic_label(lvl.n_r, lvl.l, d)
             gap = [t_val - teff(lvl, phi) for phi, t_val, _ in pts]
             for i, (phi, t_val, e0) in enumerate(pts):
-                if gap[i] == 0.0:
+                crosses = i + 1 < len(pts) and gap[i] * gap[i + 1] < 0.0
+                if not (crosses or gap[i] == 0.0):
+                    continue
+                if p.energy_exponent is not None:
+                    # the crossing is the level, in closed form
+                    entry = quantize_energy(p, lvl)
+                    phi_x, t_x, e_x = entry.phi, entry.T, entry.E
+                elif not crosses:
                     # the level sits on this node: a crossing of its own,
                     # and neither interval beside it changes sign
-                    crossings.append(DiagramCrossing(line_label=line_label, curve_label=label,
-                                                     phi=phi, t_value=t_val, E=e0))
-                if i + 1 == len(pts) or gap[i] * gap[i + 1] >= 0.0:
-                    continue
-                func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
-                    _curve_point(p.slice_at(E), d))
-                (lo, g_lo), (hi, _) = sorted(((e0, gap[i]), (pts[i + 1][2], gap[i + 1])))
-                lo, hi = _held_bracket(func, lo, g_lo, hi, p.held_energies())
-                e_star = brentq(func, lo, hi, rtol=1e-10, maxiter=200)
-                phi_star, t_star = _curve_point(p.slice_at(e_star), d)
-                crossings.append(DiagramCrossing(
-                    line_label=line_label,
-                    curve_label=label, phi=phi_star, t_value=t_star, E=float(e_star)))
+                    phi_x, t_x, e_x = phi, t_val, e0
+                else:
+                    func = lambda E: (lambda pt: pt[1] - teff(lvl, pt[0]))(
+                        _curve_point(p.slice_at(E), d))
+                    (lo, g_lo), (hi, _) = sorted(((e0, gap[i]), (pts[i + 1][2], gap[i + 1])))
+                    lo, hi = _held_bracket(func, lo, g_lo, hi, p.held_energies())
+                    e_x = float(brentq(func, lo, hi, rtol=1e-10, maxiter=200))
+                    phi_x, t_x = _curve_point(p.slice_at(e_x), d)
+                crossings.append(DiagramCrossing(line_label=line_label, curve_label=label,
+                                                 phi=phi_x, t_value=t_x, E=e_x))
     return DiagramData(d=d, lines=lines, curves=tuple(curves), crossings=tuple(crossings))
 
 

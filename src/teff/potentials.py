@@ -373,6 +373,10 @@ class Potential:
     # True when the bound levels accumulate at the ceiling of
     # energy_window(), so that any cap at or above it holds infinitely many
     levels_accumulate = False
+    # k in E - floor proportional to N_1(E)^k, on a scale-free well whose
+    # energy_window() has a floor and no ceiling; None where the levels
+    # are bracketed roots
+    energy_exponent = None
 
     def V(self, r):
         raise NotImplementedError
@@ -497,6 +501,13 @@ class PowerLaw(Potential):
         # a tail falling off slower than r^-2 binds infinitely many levels
         return self.mu < 0
 
+    @property
+    def energy_exponent(self):
+        # N_1 grows as E^((mu+2)/(2 mu)); a well open at the threshold
+        # (mu < 0) keeps the bracketed root, whose bits the Coulomb -1/32
+        # ties of the 4-decimal output hang on
+        return 2.0 * self.mu / (self.mu + 2.0) if self.mu > 0 else None
+
     def energy_scale(self):
         return abs(self.b) ** (2.0 / (2.0 + self.mu))
 
@@ -590,6 +601,7 @@ class HardWall(Potential):
     R: float
     family = "wall"
     scale_free = True
+    energy_exponent = 2.0  # N_1 = A chi_1 with A = sqrt(2E) R
 
     def __post_init__(self):
         if not self.R > 0:

@@ -9,6 +9,9 @@ with N_1 and phi taken from the same slice at every probe; below a
 threshold that root is bracketed on a ladder of energies that every level
 of the well shares.  For pure power laws and the hard wall phi is
 E-independent, and at lambda = 0 it drops out, so there T is a constant.
+A confining one of those wells (V = b r^mu with mu > 0, the wall) scales
+N_1(E) as a power of E, so its levels need no root search: each is a
+closed form on the reference slice.
 This linear T is the one quantization path; the paper's non-linear
 (Mellin) form stays a formula, ``ordering.teff_nonlinear``.
 
@@ -29,7 +32,7 @@ from scipy.optimize import brentq
 
 import numpy as np
 
-from .errors import NoBoundState, NoConvergence
+from .errors import NoBoundState, NoConvergence, NumericsError
 from .ordering import QuantumLevel
 from .potentials import PowerLaw
 from .quadrature import action_I
@@ -124,18 +127,30 @@ def _solve_inner(n1, target, p, varies, e_max=math.inf):
         hi = _expand(f, ceiling - 1e-9 * scale, 0.25, 1, "the shallow side", origin=ceiling)
         lo = _expand(f, ceiling + min(-scale, 4.0 * (hi - ceiling)), 4.0, -1, "the deep side",
                      origin=ceiling)
-    elif floor is None:
-        # wells spanning the whole axis (Coulomb core + confining tail)
+    else:
+        # wells spanning the whole axis (Coulomb core + confining tail); a
+        # window with a floor alone is a scale-free well, solved in closed form
         hi = _expand(f, 1.0, 2.0, 1, "on the confining side")
         lo = _expand(f, -1.0, 4.0, -1, "on the deep side")
-    else:
-        # confining wells bounded below: E in (floor, inf)
-        # the doublings from floor + 1 = 1 span the float range up to 2^1022
-        hi = _expand(f, floor + max(abs(floor), 1.0), 2.0, 1, "above the well bottom",
-                     origin=floor, tries=1023)
-        lo = _expand(f, floor + (hi - floor) * 0.5, 0.25, -1, "near the well bottom",
-                     origin=floor)
     return brentq(f, lo, hi, xtol=xtol, rtol=1e-13, maxiter=200)
+
+
+def _scaled_level(n1, target, p):
+    """The root of N_1(E) = T, a constant ``target``, on a well whose N_1
+    grows as (E - floor)^(1/k) with k = ``p.energy_exponent``: E = floor +
+    (E_0 - floor) (T / N_1(E_0))^k, from the slice at the reference
+    energy E_0."""
+    floor = p.energy_window()[0]
+    e0 = p.reference_energy()
+    T = target(e0)
+    try:
+        E = floor + (e0 - floor) * (T / n1(e0)) ** p.energy_exponent
+    except OverflowError:
+        E = math.inf
+    if not math.isfinite(E):
+        raise NumericsError(f"{p.spec_string()}: the level with T = {T:g} lies beyond "
+                            "the float range")
+    return E
 
 
 def _level_terms(p, level):
@@ -169,14 +184,27 @@ def quantize_energy(p, level, *, _e_max=math.inf):
     wells sampled with l <= 4).  A constant T keeps the bracket from that
     deepest probe to the ceiling.
 
+    A well with an ``energy_exponent`` k (V = b r^mu with mu > 0, the hard
+    wall) has N_1(E) proportional to (E - floor)^(1/k) and a constant T,
+    so its level is the closed form floor + (E_0 - floor) (T /
+    N_1(E_0))^k on the reference slice E_0 = ``p.reference_energy()``,
+    whose phi T already uses; no root is searched.  Every level reports
+    ``residual`` = |N_1(E) - T| on the slice at the E it returns, which
+    certifies the closed form as it does a root.
+
     Slices come from ``p.slice_at`` and stay on p.  An enumeration passes
-    its cap ``_e_max``; the result is then None, and no root is solved,
-    when F(_e_max) < 0.
+    its cap ``_e_max``; the result is None for a level above it, which
+    costs no slice at the level: F(_e_max) < 0 ends a bracketed solve
+    before its root search, and a closed-form level is compared with the
+    cap.
     """
     n1 = lambda E: action_I(p.slice_at(E), 0.0)
     target, phi_at, varies = _level_terms(p, level)
-    E = _solve_inner(n1, target, p, varies, _e_max)
-    if E is None:
+    if p.energy_exponent is None:
+        E = _solve_inner(n1, target, p, varies, _e_max)
+    else:
+        E = _scaled_level(n1, target, p)
+    if E is None or E > _e_max:
         return None
     phi = phi_at(E)
     T = level.nu + phi * level.lam
@@ -229,22 +257,29 @@ def enumerate_bound_states(p, e_max, d, l_max):
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Power-law consistency: log E vs log T slope and l-convexity sign."""
+    """Power-law consistency: log E vs log T slope, each level's relative
+    residual |N_1(E) - T| / T, and the l-convexity sign."""
 
     slope: float
     expected_slope: float
     slope_ok: bool
+    residuals: tuple
+    residual_ok: bool
     convexity_signs: tuple
     expected_sign: int
     convexity_ok: bool
 
 
 _SLOPE_TOL = 1e-3  # largest accepted error of the fitted log E / log T slope
+_RESIDUAL_TOL = 1e-12  # largest accepted |N_1(E) - T| / T of a level
 
 
 def power_law_scaling_check(b, mu, d, levels):
-    """Fit E proportional to T^(2 mu/(mu+2)) over the given levels and check
-    the sign of the second difference of E(0, l) against sgn(mu - 2)."""
+    """Fit E proportional to T^(2 mu/(mu+2)) over the given levels, bound
+    each level's residual |N_1(E) - T| on the slice at its E by
+    1e-12 T, and check the sign of the second difference of E(0, l)
+    against sgn(mu - 2).  The levels are closed forms of that law, so
+    the slope holds by construction and the residuals certify them."""
     if not mu > 0:
         raise ValueError("scaling check applies to mu > 0")
     p = PowerLaw(b=b, mu=mu)
@@ -253,6 +288,7 @@ def power_law_scaling_check(b, mu, d, levels):
     log_e = np.log([e.E for e in entries])
     slope = float(np.polyfit(log_t, log_e, 1)[0])
     expected = 2.0 * mu / (mu + 2.0)
+    residuals = tuple(e.residual / e.T for e in entries)
 
     nodeless = sorted((e for e in entries if e.n_r == 0), key=lambda e: e.l)
     signs = []
@@ -264,5 +300,7 @@ def power_law_scaling_check(b, mu, d, levels):
     convexity_ok = all(s == expected_sign for s in signs) if signs else True
     return ScalingReport(slope=slope, expected_slope=expected,
                          slope_ok=abs(slope - expected) <= _SLOPE_TOL,
+                         residuals=residuals,
+                         residual_ok=all(r <= _RESIDUAL_TOL for r in residuals),
                          convexity_signs=tuple(signs), expected_sign=expected_sign,
                          convexity_ok=convexity_ok)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from teff import ordering
+from teff import ordering, quadrature
 from teff import (
     LambdaTooSmall,
     NumericsError,
@@ -338,6 +338,7 @@ _ENUMERATIONS = {
     "quark": ("quark:alpha=0.5,delta=1,B=3", 8.0, 3),
     "linear": ("power:b=1,mu=1", 5.0, 3),
     "coulomb": ("power:b=-1,mu=-1", -0.025, 3),
+    "wall": ("wall:R=1", 30.0, 3),
 }
 
 
@@ -364,7 +365,7 @@ class TestDiagramAfterEnumeration:
         # on a fresh potential analyses 133 and 91
         assert len(slice_counts) <= len(grid) + 4
 
-    @pytest.mark.parametrize("name", list(_ENUMERATIONS))
+    @pytest.mark.parametrize("name", ["yukawa", "quark", "linear", "coulomb"])
     def test_crossing_is_the_level(self, name):
         # the crossing brackets close on the solves' last probes; a fresh
         # potential leaves the crossings up to 3e-11 from the levels
@@ -375,6 +376,51 @@ class TestDiagramAfterEnumeration:
         assert dd.crossings
         for x in dd.crossings:
             assert abs(x.E - by_label[x.line_label]) <= 1e-13 * abs(by_label[x.line_label])
+
+
+class TestScaleFreeCurves:
+    """A scale-free curve has the constant phi of its reference slice; on a
+    confining one each crossing is its closed-form level."""
+
+    @pytest.mark.parametrize("name", ["linear", "wall"])
+    @pytest.mark.parametrize("enumerated", [False, True], ids=["fresh", "enumerated"])
+    def test_crossing_is_the_level(self, name, enumerated):
+        spec, e_max, l_max = _ENUMERATIONS[name]
+        states = enumerate_bound_states(parse_potential(spec), e_max, 3, l_max)
+        p = _enumerated(name)[0] if enumerated else parse_potential(spec)
+        levels = [QuantumLevel(s.n_r, s.l, 3) for s in states]
+        dd = diagram_data(levels, (0.1, 2.2), [(p, p.default_energy_grid())])
+        by_label = {spectroscopic_label(s.n_r, s.l, 3): s for s in states}
+        assert dd.crossings
+        for x in dd.crossings:
+            s = by_label[x.line_label]
+            assert (x.E, x.phi, x.t_value) == (s.E, s.phi, s.T)
+
+    @pytest.mark.parametrize("name", ["linear", "coulomb", "wall"])
+    @pytest.mark.parametrize("enumerated", [False, True], ids=["fresh", "enumerated"])
+    def test_no_moment_beyond_d1_away_from_the_reference(self, monkeypatch, name, enumerated):
+        # the grid energies, the held energies a crossing bisects over and
+        # the crossings integrate the d = 1 moment alone
+        spec, e_max, l_max = _ENUMERATIONS[name]
+        states = enumerate_bound_states(parse_potential(spec), e_max, 3, l_max)
+        p = _enumerated(name)[0] if enumerated else parse_potential(spec)
+        moments = []
+        refined = quadrature._reduced_moment_refined
+
+        def record(s, d):
+            moments.append((s.E, d))
+            return refined(s, d)
+
+        monkeypatch.setattr(quadrature, "_reduced_moment_refined", record)
+        levels = [QuantumLevel(s.n_r, s.l, 3) for s in states]
+        dd = diagram_data(levels, (0.1, 2.2), [(p, p.default_energy_grid())])
+        assert len(dd.crossings) == len(states)
+        assert moments and {E for E, d in moments if d != 1.0} <= {p.reference_energy()}
+
+    def test_coulomb_curve_phi_is_constant(self):
+        p = parse_potential("power:b=-1,mu=-1")
+        dd = diagram_data([QuantumLevel(0, 0, 3)], (0.1, 2.2), [(p, p.default_energy_grid())])
+        assert len({phi for phi, _, _ in dd.curves[0].points}) == 1
 
 
 class TestOrderingLaw:

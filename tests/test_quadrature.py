@@ -17,6 +17,7 @@ from teff import (
     action_I,
     analyze_slice,
     bound_count_N,
+    chi_power_law_closed,
     chi_profile,
     moment_M,
     nonlinearity_residual,
@@ -181,6 +182,28 @@ class TestPanels:
                 quadrature._quad(many, 0.0, 1.0)
         else:
             assert quadrature._quad(many, 0.0, 1.0) == quad(f, 0.0, 1.0, **kw)[0]
+
+    def test_plain_one_panel_result_is_checked_against_its_halves(self):
+        # at mu = 0.263594 QAGS accepted one panel over the left flank whose
+        # error estimate was 4.5e-11 and whose error was 1.4e-7: chi_3 came
+        # out 9.75e-8 from the closed form
+        p = parse_potential("power:b=0.922694,mu=0.263594")
+        prof = chi_profile(p, 3.84319, ds=(2, 3))
+        assert prof.chi[3] == pytest.approx(chi_power_law_closed(p.mu, 3), rel=1e-13)
+        assert prof.chi[2] == pytest.approx(chi_power_law_closed(p.mu, 2), rel=1e-13)
+        assert prof.chi1 == pytest.approx(chi_power_law_closed(p.mu, 1), rel=1e-8)
+
+    def test_halves_that_agree_keep_quads_bits(self):
+        # a one-panel result its halves confirm is returned as QAGS gave it
+        calls = []
+
+        def many(xs):
+            calls.append(len(xs))
+            return [math.exp(x) for x in xs]
+
+        kw = dict(epsabs=0.0, epsrel=0.1 * quadrature._REL_TOL, limit=quadrature._MAX_SUBDIVISIONS)
+        assert quadrature._quad(many, 0.0, 1.0, plain=True) == quad(math.exp, 0.0, 1.0, **kw)[0]
+        assert calls == [21, 21, 21]
 
     @pytest.fixture
     def w_sizes_in_quad(self, monkeypatch):

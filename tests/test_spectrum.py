@@ -10,6 +10,7 @@ from teff import spectrum
 from teff import (
     NoBoundState,
     NoClassicalRegion,
+    NumericsError,
     PowerLaw,
     QuantumLevel,
     TeffError,
@@ -170,6 +171,10 @@ class TestScalingCheck:
         rep = power_law_scaling_check(1.0, mu, 3, levels)
         assert rep.slope_ok
         assert rep.expected_slope == pytest.approx(slope)
+        # the slope holds by construction of the closed-form levels; each
+        # level's residual on the slice at its own E is what certifies them
+        assert rep.residual_ok and len(rep.residuals) == len(levels)
+        assert max(rep.residuals) <= 1e-12
 
     def test_convexity_sign(self):
         levels = [QuantumLevel(0, l, 3) for l in range(5)]
@@ -285,8 +290,7 @@ class TestCapRule:
 
     @pytest.mark.parametrize("spec,e_max", [("screened:kind=exp,Z=50", -0.3),
                                             ("quark:alpha=0.5,delta=1,B=3", 8.0),
-                                            ("power:b=-1,mu=-1", -0.025),
-                                            ("power:b=1,mu=1", 5.0)])
+                                            ("power:b=-1,mu=-1", -0.025)])
     def test_level_above_the_cap_is_not_solved(self, monkeypatch, spec, e_max):
         # one root per level below the cap; F(e_max) < 0 rejects the next
         # level of each channel before any root search
@@ -301,30 +305,58 @@ class TestCapRule:
         assert len(states) >= 3
         assert sorted(roots) == [s.E for s in states]
 
+    @pytest.mark.parametrize("spec,e_max", [("power:b=1,mu=1", 5.0), ("wall:R=1", 30.0)])
+    def test_closed_form_level_above_the_cap_is_not_computed(self, monkeypatch, slice_counts,
+                                                             spec, e_max):
+        # no root is searched, and no slice above the cap is analysed: the
+        # reference slice and one slice per level below the cap, where its
+        # residual is taken
+        def solve(*args, **kwargs):
+            raise AssertionError("a root was searched")
+
+        monkeypatch.setattr(spectrum, "brentq", solve)
+        p = parse_potential(spec)
+        states = enumerate_bound_states(p, e_max, 3, 2)
+        assert len(states) >= 3
+        assert sorted(E for _, E in slice_counts) == sorted(
+            [s.E for s in states] + [p.reference_energy()])
+
     def test_cap_far_below_the_spectrum_is_empty(self):
         # no slice reaches E = -1e50 (W <= 0 on the whole admissible grid),
         # so the cap is tested only once a level lies below it
         assert enumerate_bound_states(PowerLaw(b=-1.0, mu=-1.0), -1e50, 3, 1) == []
 
     def test_mu_gap_still_raises(self):
-        # V = r^0.005 puts the W maximum beyond the admissible radii
+        # V = -r^-0.1 puts the W maximum of the bracket's shallow probes
+        # beyond the admissible radii
         with pytest.raises(NoClassicalRegion):
-            enumerate_bound_states(PowerLaw(b=1.0, mu=0.005), 5.0, 3, 1)
+            enumerate_bound_states(PowerLaw(b=-1.0, mu=-0.1), -0.5, 3, 1)
+
+    def test_mu_gap_confining_levels(self):
+        # V = r^0.005: the closed form needs the reference slice alone, whose
+        # turning point lies at r = e, and each level's slice lies near it
+        states = enumerate_bound_states(PowerLaw(b=1.0, mu=0.005), 1.02, 3, 1)
+        assert [(s.n_r, s.l) for s in states] == [(0, 0), (0, 1)]
+        assert states[0].E == pytest.approx(1.01696307, abs=1e-8)
+        assert all(s.residual <= 1e-12 * s.T for s in states)
 
 
-# Energies of the phi fixed-point solver that preceded the one-root solve.
-# Levels with a constant T (scale-free wells, lambda = 0) keep every bit:
-# the Coulomb n = 4 quartet straddles the rounding tie at -1/32 = -0.03125
-# that the 4-decimal output shows.
+# Levels with a constant T keep every bit.  The Coulomb and screened rows
+# are the energies of the phi fixed-point solver that preceded the one-root
+# solve; they guard the bits of the bracketed root below a threshold, on
+# which the Coulomb n = 4 quartet straddles the rounding tie at -1/32 =
+# -0.03125 that the 4-decimal output shows.  The V = r and oscillator rows
+# are the closed-form levels (they moved by at most 3.5e-14 from the
+# bracketed roots they replaced).
 _SAME_BITS = [
     ("power:b=-1,mu=-1", 3, 0, 3, -0.031249999999999986),
     ("power:b=-1,mu=-1", 2, 1, 3, -0.031250000000000014),
     ("power:b=-1,mu=-1", 1, 2, 3, -0.031250000000000014),
     ("power:b=-1,mu=-1", 0, 3, 3, -0.03125000000000003),
-    ("power:b=1,mu=1", 0, 0, 3, 1.8769800423942424),
-    ("power:b=1,mu=1", 1, 2, 3, 4.493550035520814),
-    ("power:b=1,mu=1", 2, 1, 2, 4.681821366468122),
-    ("power:b=0.5,mu=2", 0, 0, 3, 1.5),
+    ("power:b=1,mu=1", 0, 0, 3, 1.8769800423941758),
+    ("power:b=1,mu=1", 1, 2, 3, 4.493550035520812),
+    ("power:b=1,mu=1", 2, 1, 2, 4.681821366468121),
+    ("power:b=0.5,mu=2", 0, 0, 3, 1.5000000000000004),
     ("power:b=0.5,mu=2", 2, 3, 3, 8.500000000000002),
     ("power:b=0.5,mu=2", 1, 1, 2, 4.0),
     ("screened:kind=exp,Z=10", 0, 0, 2, -190.18495648614842),
@@ -339,6 +371,48 @@ _SAME_LEVEL = [
     ("quark:alpha=0.5,delta=1,B=3", 0, 3, 3, 4.591008434119401),
     ("quark:alpha=0.5,delta=1,B=3", 2, 1, 3, 5.504617523655067),
 ]
+
+class TestClosedFormLevels:
+    """Levels of V = b r^mu (mu > 0) and of the hard wall are closed forms
+    on the reference slice."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(well=st.one_of(
+               st.builds(lambda mu, b: PowerLaw(b=b, mu=mu),
+                         st.one_of(st.floats(1e-3, 0.02), st.floats(0.02, 8.0, exclude_max=True)),
+                         st.floats(0.1, 10.0)),
+               st.builds(lambda R: parse_potential(f"wall:R={R:.6g}"), st.floats(0.01, 100.0))),
+           d=st.integers(2, 5), n_r=st.integers(0, 3), l=st.integers(0, 3))
+    @example(well=PowerLaw(b=1.0, mu=0.005), d=3, n_r=3, l=3)
+    @example(well=PowerLaw(b=1.0, mu=8.0 - 1e-9), d=5, n_r=3, l=3)
+    def test_residual(self, well, d, n_r, l):
+        # mu below about 4e-4 fails the stationarity check of the slice
+        # analysis itself, so the draw starts at 1e-3
+        entry = quantize_energy(well, QuantumLevel(n_r, l, d))
+        assert entry.residual <= 1e-12 * entry.T
+
+    @settings(max_examples=15, deadline=None)
+    @given(b=st.floats(0.01, 100.0), d=st.integers(2, 5), n_r=st.integers(0, 3),
+           l=st.integers(0, 3))
+    def test_oscillator(self, b, d, n_r, l):
+        lvl = QuantumLevel(n_r, l, d)
+        exact = exact_reference_spectrum("oscillator", b, lvl)
+        assert quantize_energy(PowerLaw(b=b, mu=2.0), lvl).E == pytest.approx(exact, rel=1e-13)
+
+    def test_level_beyond_the_float_range(self):
+        # E = 1e300 (T / N_1(E_0))^2 overflows: a classified error, as the
+        # slice analysis gives where 2E overflows
+        with pytest.raises(NumericsError, match="float range"):
+            quantize_energy(parse_potential("wall:R=1e-150"), QuantumLevel(100000, 0, 3))
+
+    def test_enumeration_work(self, slice_counts):
+        # one slice per level, the reference slice, and none for the cap
+        p = parse_potential("power:b=1,mu=1")
+        states = enumerate_bound_states(p, 8.0, 3, 4)
+        assert len(states) >= 19
+        assert len(slice_counts) <= len(states) + 2
+        assert max(slice_counts.values()) == 1
+
 
 class TestOneRootPerLevel:
     """Each level solves N_1(E) = nu + phi(E) lambda as one bracketed root."""
