@@ -379,15 +379,16 @@ class TestClosedFormLevels:
     @settings(max_examples=25, deadline=None)
     @given(well=st.one_of(
                st.builds(lambda mu, b: PowerLaw(b=b, mu=mu),
-                         st.one_of(st.floats(1e-3, 0.02), st.floats(0.02, 8.0, exclude_max=True)),
+                         st.one_of(st.floats(5e-3, 0.02), st.floats(0.02, 8.0, exclude_max=True)),
                          st.floats(0.1, 10.0)),
                st.builds(lambda R: parse_potential(f"wall:R={R:.6g}"), st.floats(0.01, 100.0))),
            d=st.integers(2, 5), n_r=st.integers(0, 3), l=st.integers(0, 3))
     @example(well=PowerLaw(b=1.0, mu=0.005), d=3, n_r=3, l=3)
     @example(well=PowerLaw(b=1.0, mu=8.0 - 1e-9), d=5, n_r=3, l=3)
     def test_residual(self, well, d, n_r, l):
-        # mu below about 4e-4 fails the stationarity check of the slice
-        # analysis itself, so the draw starts at 1e-3
+        # below mu of about 3.5e-3 the slice analysis itself fails its
+        # stationarity check at some mu, even at the reference energy, so
+        # the draw starts at 5e-3
         entry = quantize_energy(well, QuantumLevel(n_r, l, d))
         assert entry.residual <= 1e-12 * entry.T
 
