@@ -56,12 +56,18 @@ exact binary fraction, and the right edge absorbs the rest of the span;
 at a hard wall psi = 0 on the wall, and the left edge absorbs it instead.  At
 lambda = 0 the level keeps its weight on the deep-left rows, where a step
 that is not a binary fraction moves it by up to 2e-8 as the grid's length
-changes (Coulomb, d = 2).  Each edge sits where psi has decayed by
-``_DECAY_MARGIN``, past double precision.  The grid h is the window's grid
-cut at the node past which a top just above the seed has decayed that
-much, so a deep level does not carry the long tail of the window top.
-The cut keeps every node, so its matrix is the leading block of the
-matrix the bracket counted on.
+changes (Coulomb, d = 2).  The right edge sits where psi has decayed by
+``_DECAY_MARGIN``, past double precision.  The left edge sits where
+dropping W stops mattering: the ghost node psi_(-1) = psi_0 / mu, with
+mu + 1/mu = 2 + lambda^2 h^2, continues psi exactly where W = 0, so the
+grid starts at the first node, down from the inner turning point, where
+|W| weighted by psi^2 ~ e^(2 lambda (rho - rho_in)) is below ``_EDGE``
+lambda^2 (at lambda = 0, where psi tends to a constant, where |W| is below
+``_FLAT_EDGE``).  The grid h is the window's grid cut at the node past
+which a top just above the seed has decayed by ``_DECAY_MARGIN``, so a
+deep level does not carry the long tail of the window top.  The cut keeps
+every node, so its matrix is the leading block of the matrix the bracket
+counted on.
 """
 
 from __future__ import annotations
@@ -83,13 +89,20 @@ __all__ = [
 ]
 
 _STEP = 1.0 / 256.0      # rho spacing of the grid h, exactly; 2h, 4h and 8h multiply it
-# e-folds of decay between the level and a grid edge.  Cutting psi off where
-# it has decayed by e^(-M) moves the eigenvalue by about e^(-2M) of itself,
-# the share of the norm lost past the edge; e^(-2M) <= 2^-53, the unit
-# roundoff of double precision, gives M = 53 ln(2) / 2 = 18.4
+# e-folds of decay between the level and the right edge, or the cut.
+# Cutting psi off where it has decayed by e^(-M) moves the eigenvalue by
+# about e^(-2M) of itself, the share of the norm lost past the edge;
+# e^(-2M) <= 2^-53, the unit roundoff of double precision, gives
+# M = 53 ln(2) / 2 = 18.4
 _DECAY_MARGIN = 26.5 * math.log(2.0)
+# left edge: the W that the grid drops, weighted by psi^2, is at most this
+# times lambda^2; at lambda = 0, where psi tends to a constant, |W| itself is
+# below _FLAT_EDGE
+_EDGE = 1e-18
+_FLAT_EDGE = 1e-13
 # deepest left edge: off-diagonal entries ~ 1/(h^2 r^2) must stay far below
-# sqrt(float max), which LAPACK squares, and so must its pivot floor
+# sqrt(float max), which LAPACK squares, and so must its pivot floor; the
+# right edge stays below -_RHO_FLOOR, past which their squares underflow
 _RHO_FLOOR = -150.0
 _SEED_COARSENING = 8     # the seed grid has this many times fewer intervals: the grid 8h
 _SEED_TOL = 1e-9         # relative: a seed needs only to land well inside its window
@@ -134,33 +147,47 @@ def _grid(p, level, e_lo, e_hi):
     s = analyze_slice(p, e_hi)
     rho_m = math.log(s.r_m)
 
-    # left edge: enough e^(lambda rho) suppression, and W negligible; at
-    # lambda = 0 psi tends to a constant, so W itself must vanish there.
-    # The suppression is counted from the inner turning point W = lambda^2
-    # too: near a threshold the W maximum of a slowly decaying tail lies
-    # far outside the well
+    # left edge: the first node, down on a 1/4 step, where the W the grid
+    # drops is negligible at both ends of the window.  Where W = 0 the ghost
+    # node continues psi exactly, so what is lost left of the edge is W
+    # weighted by psi^2 ~ e^(2 lambda (rho - rho_in)), counted from the inner
+    # turning point W = lambda^2, not from the W maximum: near a threshold
+    # that of a slowly decaying tail lies far outside the well.  At
+    # lambda = 0 psi tends to a constant, so W itself must vanish
     if lam > 0:
-        margin = max(_DECAY_MARGIN / lam, 12.0)
         rho_in = _inner_turning_point(p, e_hi, lam * lam, rho_m)
-        rho_lo = min(rho_m - margin, max(rho_in - margin, _RHO_FLOOR))
-        w_small = 1e-12 * max(s.A**2, lam**2)
+        top = min(rho_in, rho_m) - 1.0
     else:
-        rho_lo = rho_m - 40.0
-        w_small = 1e-13
-    while max(abs(float(p.W(e_lo, rho_lo))), abs(float(p.W(e_hi, rho_lo)))) >= w_small:
-        if rho_lo - 5.0 < _RHO_FLOOR:
-            if lam == 0.0:
-                raise NoConvergence("inner region where W vanishes is unreachably deep")
-            break  # psi ~ e^(lambda rho) has decayed past the margin already
-        rho_lo -= 5.0
+        top = rho_m - 1.0
+    top = max(top, _RHO_FLOOR)
+    rho = top - 0.25 * np.arange(int((top - _RHO_FLOOR) / 0.25) + 1)
+    w = np.maximum(np.abs(p.W(e_lo, rho)), np.abs(p.W(e_hi, rho)))
+    if lam > 0:
+        # the weight is compared as its inverse, capped where no finite W
+        # could reach it, so an infinite W never meets an underflowed psi^2
+        dropped = w <= _EDGE * lam * lam * np.exp(np.minimum(2.0 * lam * (rho_in - rho), 700.0))
+    else:
+        dropped = w < _FLAT_EDGE
+    edge = np.flatnonzero(dropped)
+    if edge.size:
+        rho_lo = float(rho[edge[0]])
+    elif lam == 0.0:
+        raise NoConvergence("inner region where W vanishes is unreachably deep")
+    else:
+        rho_lo = float(rho[-1])  # psi ~ e^(lambda rho) has decayed this far already
 
     rho_hi = _right_edge(s, level)
     if not s.boundary_max:
         rho_lo = math.floor(rho_lo / _STEP) * _STEP
     n = _intervals(rho_hi - rho_lo)
     if s.boundary_max:
-        return rho_hi - n * _STEP, rho_hi, n
-    return rho_lo, rho_lo + n * _STEP, n
+        rho_lo = rho_hi - n * _STEP
+    else:
+        rho_hi = rho_lo + n * _STEP
+    if rho_lo < _RHO_FLOOR or rho_hi > -_RHO_FLOOR:
+        raise NoConvergence(f"grid ({rho_lo:.4g}, {rho_hi:.4g}) in ln r reaches past "
+                            f"|ln r| = {-_RHO_FLOOR:g}, where the matrix cannot represent it")
+    return rho_lo, rho_hi, n
 
 
 def _right_edge(s, level):
@@ -209,8 +236,10 @@ def _matrix(p, level, rho_lo, rho_hi, intervals):
     two_r2 = 2.0 * r * r
     lam = level.lam
     d = (2.0 / (h * h) + lam * lam + two_r2 * p.V(r)) / two_r2
-    # ghost node psi_(-1) = e^(-lambda h) psi_0 carries psi ~ e^(lambda rho)
-    d[0] -= math.exp(-lam * h) / (h * h * two_r2[0])
+    # ghost node psi_(-1) = psi_0 / mu, with mu + 1/mu = 2 + lambda^2 h^2:
+    # psi_i = mu^i solves the discrete -psi'' + lambda^2 psi = 0 exactly, so
+    # where W = 0 left of the grid the first row is its exact continuation
+    d[0] -= math.exp(-2.0 * math.asinh(0.5 * lam * h)) / (h * h * two_r2[0])
     off = -1.0 / (2.0 * h * h * r[:-1] * r[1:])
     return d, off
 
